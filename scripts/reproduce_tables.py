@@ -3,7 +3,9 @@
 
 Default budgets keep the run desk-scale: rows whose cheapest enumeration
 exceeds the budget come back as reconciled bounds rather than exact values.
-Pass --extended to spend more on the long rows.
+--budget caps the operations spent on each row, code and dual together.
+--extended raises the prefix probe's cap to 1e11 operations within that
+budget; it adds no operations on top of it.
 
 Usage: python scripts/reproduce_tables.py [--outdir OUT] [--extended]
 """

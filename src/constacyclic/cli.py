@@ -87,7 +87,8 @@ def build_parser():
                         default="json")
     common.add_argument("--out", default=None, help="write output to a file")
     common.add_argument("--extended", action="store_true",
-                        help="spend extra effort on long-running rows")
+                        help="table: raise the prefix probe's cap to 1e11 "
+                             "ops, within --budget")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -204,32 +205,9 @@ def cmd_certify(rs):
     return (EXIT_OK if result.exact else EXIT_BUDGET), payload
 
 
-EXTENDED_PROBE_BUDGET = 10 ** 11
-
-
-def _certify_row(code, hints, dual_hints, budget, extended,
-                 probe_budget=EXTENDED_PROBE_BUDGET):
-    res, dres = distance.certify_pair(code, hints=hints, dual_hints=dual_hints,
-                                      op_budget=budget)
-    if extended:
-        out = []
-        for cc, r in ((code, res), (code.dual(), dres)):
-            if not r.exact:
-                w, word = distance.prefix_subcode_probe(cc,
-                                                        op_budget=probe_budget)
-                if w is not None and w < r.upper:
-                    trace = r.method_trace + (("prefix-probe", probe_budget,
-                                               f"upper <= {w}"),)
-                    r = distance.DistanceResult(
-                        lower=r.lower, upper=w,
-                        exact=(r.lower == w), witness_codeword=word,
-                        method_trace=trace)
-            out.append(r)
-        res, dres = out
-    return res, dres
-
-
 def cmd_table(rs):
+    prefix_cap = (distance.EXTENDED_PREFIX_CAP if rs.extended
+                  else distance.PREFIX_CAP)
     rows_out = []
     mismatch = False
     for row in tables.table_rows(rs.table_id):
@@ -242,8 +220,9 @@ def cmd_table(rs):
                                            ell=ells[0])
         code = families.family_code(params)
         hints = families.closed_form_bounds(params)
-        res, dres = _certify_row(code, hints, hints.dual_view(), rs.budget,
-                                 rs.extended)
+        res, dres = distance.certify_pair(code, hints, hints.dual_view(),
+                                          op_budget=rs.budget,
+                                          prefix_cap=prefix_cap)
         row_report = {
             "q": q, "m": m,
             "family": params.to_json(),

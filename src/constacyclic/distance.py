@@ -1,25 +1,47 @@
-"""Minimum-distance and weight-enumerator engines.
+"""Minimum-distance and weight-enumerator engines, and the planner that
+turns them into certificates.
 
-Three ways to pin a distance down, reconciled by ``certify``:
+Engines, each given an operation cap and returning what it spent:
 
 * exhaustive message enumeration, vectorized in blocks: all combinations of a
   suffix of generator rows are tabled once, then each prefix codeword is
   folded in with a single equality scan, counting only messages whose first
   nonzero symbol is 1 and scaling counts by q-1;
-* bounded-weight support search: every vector of weight <= w_max is tested by
-  syndrome, so an empty scan is a proof that d > w_max;
-* progression lower bounds (closed forms and bch_search) from families.
+* bounded-weight support search: every vector of weight <= w_max is tested
+  by syndrome, so an empty scan is a proof that d > w_max;
+* sparse and prefix probes, which encode low-weight messages or the span of
+  the first generator rows to find explicit codewords (upper bounds).
 
-A full weight distribution of either the code or its dual settles the
-distance exactly (the dual via the Krawtchouk transform); an explicit
-witness codeword is still required before a result is labeled exact.
+``certify`` and ``certify_pair`` run one planner against one ledger: the
+operations left of ``op_budget`` plus a trace of what each stage actually
+spent.  Every engine is granted min(remaining, stage cap) and the ledger is
+debited with what it spent, so a certificate's trace never sums to more
+than its budget (a pair shares one budget).  The stages, in order:
+
+1. bounds: closed-form hints, ``bch_search`` and the weight-modulus lift;
+2. the sparse probe, when enumerating the code (q^k * n ops) exceeds its cap;
+3. with a weight modulus, a support scan of each candidate weight below the
+   probe's witness, when that is cheaper than a distribution;
+4. a weight distribution, handed in or enumerated on the cheaper side when
+   affordable: the code itself stops early at the lower bound, the dual is
+   followed by the MacWilliams transform;
+5. otherwise the prefix probe, then a support scan ramping up from the lower
+   bound.
+
+Once a distribution certifies d, the witness is the probe's codeword if its
+weight is d, else a support scan at weight d when its predicted cost fits
+min(remaining, 2e10), else the prefix probe.  A result is labeled exact only
+when an explicit codeword meets the proven lower bound.  The prefix probe's
+cap is the one knob: ``PREFIX_CAP`` by default, ``EXTENDED_PREFIX_CAP``
+for ``table --extended`` (through ``certify_pair``), always drawn from the
+same budget.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,9 +50,11 @@ from .families import bch_search
 
 DEFAULT_OP_BUDGET = 200_000_000_000  # q^k * n elementary operations
 _BLOCK_BYTES = 64 << 20
-_PROBE_BUDGET = 200_000_000
-_PREFIX_PROBE_BUDGET = 2_000_000_000
-_WITNESS_BUDGET = 20_000_000_000
+# per-stage caps; every stage is also capped by what is left of the budget
+_PROBE_CAP = 200_000_000        # the sparse probe's, and both probes' default
+PREFIX_CAP = 2_000_000_000
+EXTENDED_PREFIX_CAP = 100_000_000_000
+_WITNESS_CAP = 20_000_000_000
 
 
 @dataclass(frozen=True)
@@ -201,7 +225,9 @@ def _weight_distribution(G, tables, *, op_budget, stop_at=None):
         else:
             counts = e0 + (q - 1) * acc
     if completed:
-        assert counts.sum() == q ** k
+        if counts.sum() != q ** k:
+            raise ArithmeticError("weight distribution does not count q^k "
+                                  "codewords")
         counts = {w: int(c) for w, c in enumerate(counts) if c}
     return counts, best_w, best_msg, completed, ops_done
 
@@ -263,21 +289,24 @@ def low_weight_search(code, w_max, w_min=1, op_budget=DEFAULT_OP_BUDGET,
                       chunk=4096):
     """Test every vector of weight in [w_min, w_max] for membership.
 
-    Returns (w, witness) at the first (hence minimum) weight with a hit, or
-    (None, None) after an exhaustive empty scan, which proves d > w_max.
+    Returns (w, witness, ops) at the first (hence minimum) weight with a hit,
+    or (None, None, ops) after an exhaustive empty scan, which proves
+    d > w_max; ops counts the supports tested, never more than the
+    predicted cost checked against the budget.
     """
     n, q = code.n, code.tower.q
     H = code.parity_check_matrix()
     rows = H.shape[0]
     if rows == 0:
         w = max(w_min, 1)
-        return w, (1,) * w + (0,) * (n - w)
+        return w, (1,) * w + (0,) * (n - w), 0
     total = sum(_low_weight_cost(n, w, q, rows)
                 for w in range(max(w_min, 1), w_max + 1))
     if total > op_budget:
         raise BudgetExceeded(
             f"low-weight scan needs ~{total} ops > budget {op_budget}")
     tables = code.tower.subfield_tables()
+    spent = 0
     for w in range(max(w_min, 1), w_max + 1):
         patterns = _scalar_patterns(q, w, tables)
         combos = itertools.combinations(range(n), w)
@@ -286,6 +315,7 @@ def low_weight_search(code, w_max, w_min=1, op_budget=DEFAULT_OP_BUDGET,
                              dtype=np.int64)
             if batch.size == 0:
                 break
+            spent += len(batch) * len(patterns) * w * rows
             hit = _syndrome_hit(H[:, batch], patterns, tables)
             if hit is not None:
                 pi, ci = hit
@@ -293,21 +323,22 @@ def low_weight_search(code, w_max, w_min=1, op_budget=DEFAULT_OP_BUDGET,
                 for pos, val in zip(batch[ci], patterns[pi]):
                     word[int(pos)] = int(val)
                 word = tuple(word)
-                assert code.contains(word)
-                return w, word
-    return None, None
+                if not code.contains(word):
+                    raise ArithmeticError("support scan hit is not a codeword")
+                return w, word, spent
+    return None, None, spent
 
 
-def sparse_message_probe(code, max_message_weight=3, op_budget=_PROBE_BUDGET,
+def sparse_message_probe(code, max_message_weight=3, op_budget=_PROBE_CAP,
                          chunk=2048):
     """Cheap upper-bound probe: encode all messages of small weight.
 
-    Returns (best weight, witness codeword) over the scanned messages, or
-    (None, None) if even weight-1 messages exceed the budget.
+    Returns (best weight, witness codeword, ops) over the scanned messages,
+    or (None, None, 0) if even weight-1 messages exceed the budget.
     """
     k, n, q = code.k, code.n, code.tower.q
     if k == 0:
-        return None, None
+        return None, None, 0
     G = code.generator_matrix()
     tables = code.tower.subfield_tables()
     best_w, best_word = None, None
@@ -335,31 +366,29 @@ def sparse_message_probe(code, max_message_weight=3, op_budget=_PROBE_BUDGET,
                 if best_w is None or int(wts[i]) < best_w:
                     best_w = int(wts[i])
                     best_word = tuple(int(x) for x in words[i])
-    return best_w, best_word
+    return best_w, best_word, spent
 
 
-def prefix_subcode_probe(code, op_budget=_PROBE_BUDGET):
+def prefix_subcode_probe(code, op_budget=_PROBE_CAP):
     """Upper-bound probe: enumerate the span of the first t generator rows.
 
     t is the largest row count affordable within the budget.  Low-degree
     message polynomials often reach minimum-weight words in these codes, and
-    the scan is deterministic.  Returns (weight, witness) or (None, None).
+    the scan is deterministic.  Returns (weight, witness, ops), or
+    (None, None, 0) when not even one row is affordable.
     """
     k, n, q = code.k, code.n, code.tower.q
     if k == 0:
-        return None, None
+        return None, None, 0
     t = 1
     while t < k and q ** (t + 1) * n <= op_budget:
         t += 1
     if q ** t * n > op_budget:
-        return None, None
+        return None, None, 0
     tables = code.tower.subfield_tables()
-    _, best_w, best_msg, _, _ = _weight_distribution(
+    _, best_w, best_msg, _, ops = _weight_distribution(
         code.generator_matrix()[:t], tables, op_budget=op_budget)
-    if best_msg is None:
-        return None, None
-    msg = tuple(best_msg) + (0,) * (k - t)
-    return best_w, code.encode(msg)
+    return best_w, code.encode(tuple(best_msg) + (0,) * (k - t)), ops
 
 
 def _krawtchouk(j, i, n, q):
@@ -390,228 +419,209 @@ def macwilliams_transform(counts, n, q):
     return out
 
 
-def _message_to_codeword(code, msg):
-    return code.encode(tuple(int(d) for d in msg))
+def _min_weight(counts):
+    return min(w for w, c in counts.items() if w > 0 and c > 0)
 
 
-def certify(code, hints=None, op_budget=DEFAULT_OP_BUDGET):
-    """Reconcile lower bounds with explicit codewords into a certificate.
+@dataclass(frozen=True)
+class _Settled:
+    """A distance d certified by a weight distribution, with the ops it cost.
 
-    Order: closed-form hints, progression search, a sparse upper-bound probe,
-    then the cheaper of direct enumeration and dual enumeration plus
-    transform, then a ramping support scan.  Never raises on exhaustion; the
-    result simply stays non-exact.
+    witness is a weight-d codeword when the code itself was enumerated, None
+    when its dual was (d then comes from the MacWilliams transform).
+    """
+
+    d: int
+    witness: tuple
+    ops: int
+    early: bool = False
+
+    def entry(self):
+        if self.witness is None:
+            return ("dual-enumeration", self.ops,
+                    f"distribution certifies d = {self.d}")
+        note = (f"stopped early at weight {self.d}" if self.early
+                else f"exact d = {self.d}")
+        return ("enumeration", self.ops, note)
+
+
+def _enumerate(code, lower, op_budget):
+    """Settle d on the cheaper side: the code itself, stopping at the first
+    word of weight <= lower, or its dual followed by MacWilliams."""
+    n, k, q = code.n, code.k, code.tower.q
+    tables = code.tower.subfield_tables()
+    if k <= n - k:
+        _, best_w, best_msg, completed, ops = _weight_distribution(
+            code.generator_matrix(), tables, op_budget=op_budget,
+            stop_at=lower)
+        return _Settled(best_w, code.encode(best_msg), ops,
+                        early=not completed)
+    counts, _, _, _, ops = _weight_distribution(
+        code.parity_check_matrix(), tables, op_budget=op_budget)
+    return _Settled(_min_weight(macwilliams_transform(counts, n, q)), None,
+                    ops)
+
+
+class _Ledger:
+    """Operations left of the budget, and the trace of what each stage spent."""
+
+    def __init__(self, budget):
+        self.remaining = budget
+        self.trace = []
+
+    def debit(self, method, ops, note):
+        self.remaining -= ops
+        self.trace.append((method, ops, note))
+
+
+def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
+    """Run the certification stages of the module docstring, in order.
+
+    settled is a distribution certify_pair enumerated before planning;
+    without one, stage 4 enumerates when affordable.  Never raises on
+    exhaustion; the result simply stays non-exact.
     """
     n, k, q = code.n, code.k, code.tower.q
     if k == 0:
         raise BadParams("zero code has no minimum distance")
-    trace = []
-    lower, upper, witness = 1, n, None
-    wmod = getattr(hints, "weight_modulus", None) if hints is not None else None
-
-    def lift(bound):
-        # all weights divisible by wmod: round the bound up to a multiple
-        if wmod and bound % wmod:
-            return bound + (-bound) % wmod
-        return bound
-
     if k == n:
         e = (1,) + (0,) * (n - 1)
         return DistanceResult(lower=1, upper=1, exact=True, witness_codeword=e,
                               method_trace=(("full-space", 0, "d = 1"),))
+    led = _Ledger(op_budget)
+    if settled is not None:
+        led.debit(*settled.entry())      # paid for before planning began
+    wmod = getattr(hints, "weight_modulus", None)
 
+    def lift(bound):
+        # all weights divisible by wmod: round the bound up to a multiple
+        return bound + (-bound) % wmod if wmod else bound
+
+    def done(lower, upper, witness):
+        return DistanceResult(lower=lower, upper=upper,
+                              exact=lower == upper and witness is not None,
+                              witness_codeword=witness,
+                              method_trace=tuple(led.trace))
+
+    def scan(w):
+        # support scan at weight w: a codeword of weight w, or None
+        got, word, ops = low_weight_search(code, w_max=w, w_min=w,
+                                           op_budget=led.remaining)
+        led.debit("support-scan", ops, f"witness of weight {w}"
+                  if got is not None else f"no codeword of weight {w}")
+        return word
+
+    def scan_cost(w):
+        return _low_weight_cost(n, w, q, n - k)
+
+    # 1. bounds
+    lower = 1
     if hints is not None and hints.distance_lb:
-        lower = max(lower, hints.distance_lb)
-        trace.append(("closed-form", 0, f"lower >= {hints.distance_lb}"))
-
+        lower = hints.distance_lb
+        led.debit("closed-form", 0, f"lower >= {lower}")
     wit = bch_search(code.defining_set)
     lower = lift(max(lower, wit.delta))
-    trace.append(("bch-search", 0,
-                  f"delta = {wit.delta} (b = {wit.b}, a = {wit.a})"))
+    led.debit("bch-search", 0,
+              f"delta = {wit.delta} (b = {wit.b}, a = {wit.a})")
+    upper, witness = n, None
 
-    remaining = op_budget
-
-    probe_budget = min(remaining, _PROBE_BUDGET)
-    if probe_budget > 0 and q ** k * n > probe_budget:
-        # only worth probing when full enumeration is not trivially cheap
-        w_found, word = sparse_message_probe(code, op_budget=probe_budget)
-        if w_found is not None and w_found < upper:
-            upper, witness = w_found, word
-        trace.append(("sparse-probe", probe_budget,
-                      f"upper <= {upper}" if w_found else "no improvement"))
+    # 2. sparse probe: only when no witness is in hand and enumerating the
+    # code is not trivially cheap
+    cap = min(led.remaining, _PROBE_CAP)
+    if (settled is None or settled.witness is None) and 0 < cap < q ** k * n:
+        w, word, ops = sparse_message_probe(code, op_budget=cap)
+        if w is not None and w < upper:
+            upper, witness = w, word
+        led.debit("sparse-probe", ops,
+                  f"upper <= {upper}" if w else "no improvement")
         if upper == lower:
-            return DistanceResult(lower=lower, upper=upper, exact=True,
-                                  witness_codeword=witness,
-                                  method_trace=tuple(trace))
+            return done(lower, upper, witness)
 
-    # with a weight modulus, the few candidate minima below the witnessed
+    # 3. with a weight modulus, the few candidate minima below the witnessed
     # upper bound can be cheaper to rule out one by one than to enumerate
+    enum_cost = 0 if settled else q ** min(k, n - k) * n
     if wmod and witness is not None and upper % wmod == 0:
         cands = [w for w in range(lower, upper) if w % wmod == 0]
-        cost = sum(_low_weight_cost(n, w, q, n - k) for w in cands)
-        if cands and cost <= min(remaining, _WITNESS_BUDGET) \
-                and cost < q ** min(k, n - k) * n:
+        cost = sum(scan_cost(w) for w in cands)
+        if cands and cost <= min(led.remaining, _WITNESS_CAP) \
+                and cost < enum_cost:
             for w in cands:
-                wcost = _low_weight_cost(n, w, q, n - k)
-                got, word = low_weight_search(code, w_max=w, w_min=w,
-                                              op_budget=remaining)
-                remaining -= wcost
-                if got is not None:
-                    trace.append(("support-scan", wcost,
-                                  f"witness of weight {got}"))
-                    return DistanceResult(lower=got, upper=got, exact=True,
-                                          witness_codeword=word,
-                                          method_trace=tuple(trace))
-                trace.append(("support-scan", wcost,
-                              f"no codeword of weight {w}"))
-                lower = lift(w + 1)
-            return DistanceResult(lower=upper, upper=upper, exact=True,
-                                  witness_codeword=witness,
-                                  method_trace=tuple(trace))
+                word = scan(w)
+                if word is not None:
+                    return done(w, w, word)
+            return done(upper, upper, witness)
 
-    cost_direct = q ** k * n
-    cost_dual = q ** (n - k) * n
-    tables = code.tower.subfield_tables()
-    if min(cost_direct, cost_dual) <= remaining:
-        if cost_direct <= cost_dual:
-            counts, best_w, best_msg, completed, ops = _weight_distribution(
-                code.generator_matrix(), tables, op_budget=remaining,
-                stop_at=lower)
-            remaining -= ops
-            if best_w < lower:
-                raise ArithmeticError(
-                    f"found weight {best_w} below certified bound {lower}")
-            witness = _message_to_codeword(code, best_msg)
-            upper = best_w
-            if not completed:
-                trace.append(("enumeration", ops,
-                              f"stopped early at weight {best_w}"))
-            else:
-                trace.append(("enumeration", ops, f"exact d = {best_w}"))
-            lower = best_w
-            return DistanceResult(lower=lower, upper=upper, exact=True,
-                                  witness_codeword=witness,
-                                  method_trace=tuple(trace))
-        counts, _, _, _, ops = _weight_distribution(
-            code.parity_check_matrix(), tables, op_budget=remaining)
-        remaining -= ops
-        d = min(w for w, c in macwilliams_transform(counts, n, q).items()
-                if w > 0 and c > 0)
-        lower = max(lower, d)
-        trace.append(("dual-enumeration", ops,
-                      f"distribution certifies d = {d}"))
-        if witness is not None and len([x for x in witness if x]) == d:
-            upper = d
-        else:
-            wcost = _low_weight_cost(n, d, q, n - k)
-            if wcost <= min(remaining, _WITNESS_BUDGET):
-                try:
-                    w_found, word = low_weight_search(
-                        code, w_max=d, w_min=d, op_budget=remaining)
-                except BudgetExceeded:
-                    w_found, word = None, None
-                remaining -= wcost
-                if w_found is not None:
-                    upper, witness = w_found, word
-                    trace.append(("support-scan", wcost,
-                                  f"witness of weight {w_found}"))
-        exact = lower == upper and witness is not None
-        return DistanceResult(lower=lower, upper=upper, exact=exact,
-                              witness_codeword=witness,
-                              method_trace=tuple(trace))
+    # 4. a weight distribution certifies d; then find a weight-d witness
+    if settled is None and enum_cost <= led.remaining:
+        settled = _enumerate(code, lower, led.remaining)
+        led.debit(*settled.entry())
+    if settled is not None:
+        d = settled.d
+        if d < lower:
+            raise ArithmeticError(
+                f"found weight {d} below certified bound {lower}")
+        if settled.witness is not None:
+            return done(d, d, settled.witness)
+        if witness is not None and upper == d:
+            return done(d, d, witness)
+        lower = d
+        if scan_cost(d) <= min(led.remaining, _WITNESS_CAP):
+            word = scan(d)
+            if word is None:
+                raise ArithmeticError(f"no codeword of certified weight {d}")
+            return done(d, d, word)
 
-    # no full enumeration affordable: refine the upper bound with a prefix
-    # scan, then ramp the support scan from the bound up
-    pb = min(remaining, _PREFIX_PROBE_BUDGET)
-    w_found, word = prefix_subcode_probe(code, op_budget=pb)
-    if w_found is not None and w_found < upper:
-        upper, witness = w_found, word
-        trace.append(("prefix-probe", pb, f"upper <= {w_found}"))
-        if upper == lower:
-            return DistanceResult(lower=lower, upper=upper, exact=True,
-                                  witness_codeword=witness,
-                                  method_trace=tuple(trace))
+    # 5. (and the last witness resort) the prefix probe; without a
+    # distribution, then ramp the support scan up from the lower bound
+    w, word, ops = prefix_subcode_probe(code,
+                                        op_budget=min(led.remaining, prefix_cap))
+    if w is not None:
+        if w < upper:
+            upper, witness = w, word
+        led.debit("prefix-probe", ops,
+                  f"upper <= {upper}" if w == upper else "no improvement")
+    if settled is None:
+        while lower < upper and scan_cost(lower) <= led.remaining:
+            word = scan(lower)
+            if word is not None:
+                return done(lower, lower, word)
+            lower = min(lift(lower + 1), upper)
+    return done(lower, upper, witness)
 
-    w = lower
-    while w <= n:
-        if wmod and w % wmod:
-            w = lift(w)          # no codewords at non-multiple weights
-            lower = min(w, upper)
-            continue
-        wcost = _low_weight_cost(n, w, q, n - k)
-        if wcost > remaining:
-            break
-        w_found, word = low_weight_search(code, w_max=w, w_min=w,
-                                          op_budget=remaining)
-        remaining -= wcost
-        if w_found is not None:
-            upper, witness = w_found, word
-            trace.append(("support-scan", wcost, f"witness of weight {w}"))
-            lower = w
-            break
-        trace.append(("support-scan", wcost, f"no codeword of weight {w}"))
-        lower = lift(w + 1)
-        w = lower
 
-    exact = lower == upper and witness is not None
-    return DistanceResult(lower=lower, upper=upper, exact=exact,
-                          witness_codeword=witness, method_trace=tuple(trace))
+def certify(code, hints=None, op_budget=DEFAULT_OP_BUDGET):
+    """Reconcile lower bounds with explicit codewords into a certificate,
+    spending at most op_budget operations (see the module docstring)."""
+    return _plan(code, hints, op_budget)
 
 
 def certify_pair(code, hints=None, dual_hints=None,
-                 op_budget=DEFAULT_OP_BUDGET):
-    """Certify a code and its dual with one enumeration of the cheaper side.
+                 op_budget=DEFAULT_OP_BUDGET, prefix_cap=PREFIX_CAP):
+    """Certify a code and its dual against one shared op_budget.
 
-    Falls back to independent bound-only certificates when even the cheaper
-    side exceeds the budget.
+    A self-dual code is certified once; the dual's certificate repeats it at
+    no cost.  Otherwise the cheaper side is enumerated fully once, when
+    affordable, and that distribution settles both sides.
     """
-    n, k, q = code.n, code.k, code.tower.q
     dual = code.dual()
-    cheap_cost = q ** min(k, n - k) * n
-    if k in (0, n) or cheap_cost > op_budget:
-        return certify(code, hints, op_budget), certify(dual, dual_hints,
-                                                        op_budget)
-    tables = code.tower.subfield_tables()
-    if k <= n - k:
-        small, big = code, dual
-    else:
-        small, big = dual, code
-    counts, best_w, best_msg, _, ops = _weight_distribution(
-        small.generator_matrix(), tables, op_budget=op_budget)
-    d_small = min(w for w, c in counts.items() if w > 0 and c > 0)
-    small_res = DistanceResult(
-        lower=d_small, upper=d_small, exact=True,
-        witness_codeword=_message_to_codeword(small, best_msg),
-        method_trace=(("enumeration", ops, f"exact d = {d_small}"),))
-
-    d_big = min(w for w, c in macwilliams_transform(counts, n, q).items()
-                if w > 0 and c > 0)
-    trace = [("dual-enumeration", ops, f"distribution certifies d = {d_big}")]
-    lower = d_big
-    upper, witness = n, None
-    w_found, word = sparse_message_probe(big, op_budget=_PROBE_BUDGET)
-    if w_found is not None:
-        upper, witness = w_found, word
-        trace.append(("sparse-probe", _PROBE_BUDGET, f"upper <= {w_found}"))
-    if upper > d_big:
-        w_found, word = prefix_subcode_probe(big, op_budget=_PREFIX_PROBE_BUDGET)
-        if w_found is not None and w_found < upper:
-            upper, witness = w_found, word
-            trace.append(("prefix-probe", _PREFIX_PROBE_BUDGET,
-                          f"upper <= {w_found}"))
-    if upper > d_big:
-        wcost = _low_weight_cost(n, d_big, q, n - big.k)
-        if wcost <= _WITNESS_BUDGET:
-            w_found, word = low_weight_search(big, w_max=d_big, w_min=d_big,
-                                              op_budget=_WITNESS_BUDGET)
-            if w_found is not None:
-                upper, witness = w_found, word
-                trace.append(("support-scan", wcost,
-                              f"witness of weight {w_found}"))
-    exact = lower == upper and witness is not None
-    big_res = DistanceResult(lower=lower, upper=upper, exact=exact,
-                             witness_codeword=witness,
-                             method_trace=tuple(trace))
-    if small is code:
-        return small_res, big_res
-    return big_res, small_res
+    if dual.defining_set == code.defining_set:
+        res = _plan(code, hints, op_budget, prefix_cap=prefix_cap)
+        return res, replace(res, method_trace=(
+            ("self-dual", 0, "the code is its own dual"),))
+    n, k, q = code.n, code.k, code.tower.q
+    settled = (None, None)
+    if 0 < k < n and q ** min(k, n - k) * n <= op_budget:
+        small = code if k <= n - k else dual
+        counts, best_w, best_msg, _, ops = _weight_distribution(
+            small.generator_matrix(), code.tower.subfield_tables(),
+            op_budget=op_budget)
+        direct = (best_w, small.encode(best_msg))
+        via_dual = (_min_weight(macwilliams_transform(counts, n, q)), None)
+        first, second = (direct, via_dual) if small is code \
+            else (via_dual, direct)
+        # one enumeration, paid for by the code's certificate
+        settled = (_Settled(*first, ops), _Settled(*second, 0))
+    res = _plan(code, hints, op_budget, settled[0], prefix_cap)
+    spent = sum(ops for _, ops, _ in res.method_trace)
+    dres = _plan(dual, dual_hints, op_budget - spent, settled[1], prefix_cap)
+    return res, dres

@@ -523,36 +523,6 @@ def qweight_dual_distance_bound(q, m, ell):
     return q ** (m - 1 - ell) + 2 * (q ** ell - 1) // (q - 1)
 
 
-def s3_distance_bound(q, m, ell):
-    if ell <= (m - 5) // 2:
-        return (q - 1) * q ** ell + 1
-    if m % 2 and ell == (m - 3) // 2:
-        return (q - 1) * q ** ell + 1
-    if m % 4 == 0 and ell == (m - 4) // 2:
-        return (q - 1) * q ** ell + 1
-    if m % 4 == 2 and ell == (m - 4) // 2:
-        return q ** ell + 1
-    if m % 4 == 0 and ell == (m - 2) // 2:
-        return q ** ell + 1
-    if m % 4 == 2 and ell == (m - 2) // 2:
-        return q ** (ell - 1) + 1
-    return None
-
-
-def s3_dual_distance_bound(q, m, ell):
-    if m % 2:
-        return q ** ((m - 1) // 2) + 1
-    if m % 4 == 0 and ell <= (m - 4) // 2:
-        return q ** ((m - 2) // 2) + 1
-    return (q - 1) * q ** ((m - 4) // 2) + 1
-
-
-def s4_distance_bound(m):
-    if m % 4 == 0:
-        return 3 ** ((m - 2) // 2) + 3
-    return 3 ** ((m - 4) // 2) + 3
-
-
 # ----------------------------------------------------------------------
 # closed-form reports
 # ----------------------------------------------------------------------

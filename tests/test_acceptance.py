@@ -410,12 +410,12 @@ def test_extended_long_rows_bound_only():
 
     res = certify(code, hints=hints)
     assert not res.exact and res.lower >= 9
-    w, _ = prefix_subcode_probe(code, op_budget=10 ** 9)
+    w, _, _ = prefix_subcode_probe(code, op_budget=10 ** 9)
     assert w is not None and w <= 22 + 2
 
     dres = certify(code.dual(), hints=hints.dual_view())
     assert dres.lower >= hints.dual_distance_lb == 5
-    w, _ = prefix_subcode_probe(code.dual(), op_budget=10 ** 9)
+    w, _, _ = prefix_subcode_probe(code.dual(), op_budget=10 ** 9)
     assert w is not None and w <= 12 + 2
     _report("long-rows", True, "[62,*] reconciled within published + 2")
 

@@ -147,15 +147,28 @@ def test_construct_descriptor_feeds_loader(capsys):
 
 def test_certify_row_extended_probe_budget(capsys):
     from constacyclic import families as F
-    from constacyclic.cli import _certify_row
+    from constacyclic.distance import certify_pair
 
     params = F.FamilyParams(family="parity", q=3, m=4, i=1)
     code = F.family_code(params)
     hints = F.closed_form_bounds(params)
-    # main budget too small to enumerate; the extended probe closes the gap
-    res, dres = _certify_row(code, hints, hints.dual_view(), budget=10 ** 6,
-                             extended=True, probe_budget=10 ** 8)
+    # budget too small to enumerate; a prefix probe raised to the whole
+    # budget closes the gap without spending past it
+    res, dres = certify_pair(code, hints, hints.dual_view(),
+                             op_budget=10 ** 8, prefix_cap=10 ** 8)
     assert res.lower == 9 and res.upper <= 12
+    assert sum(o for c in (res, dres) for _, o, _ in c.method_trace) <= 10 ** 8
+
+
+def test_table_extended_stays_within_budget(capsys):
+    budget = 2_000_000
+    code, obj = run_json(["table", "--id", "1", "--budget", str(budget),
+                          "--extended"], capsys)
+    assert code == 0
+    for row in obj["rows"]:
+        spent = sum(e["ops"] for side in ("distance", "dual_distance")
+                    for e in row[side]["method_trace"])
+        assert spent <= budget, (row["published"], spent)
 
 
 def test_scripts_smoke(tmp_path):

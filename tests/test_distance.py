@@ -83,26 +83,26 @@ def test_cross_method_agreement():
     # exhaustive minimum equals the support-scan minimum
     for code in [parity_code(3, 3), parity_code(5, 2), qweight_code(4, 2, 0)]:
         d = exhaustive_enumerator(code).min_distance()
-        found, word = low_weight_search(code, w_max=d)
+        found, word, _ = low_weight_search(code, w_max=d)
         assert found == d
         assert sum(1 for x in word if x) == d
         assert code.contains(word)
-        none_found, _ = low_weight_search(code, w_max=d - 1)
+        none_found, _, _ = low_weight_search(code, w_max=d - 1)
         assert none_found is None
 
 
 def test_low_weight_search_examples():
     s3 = F.family_code(F.FamilyParams(family="s3", q=3, m=4, ell=0),
                        preset="paper")
-    assert low_weight_search(s3, w_max=4) == (None, None)   # proves d >= 5
-    w, word = low_weight_search(s3, w_max=5, w_min=5)
+    assert low_weight_search(s3, w_max=4)[:2] == (None, None)  # d >= 5
+    w, word, _ = low_weight_search(s3, w_max=5, w_min=5)
     assert w == 5 and s3.contains(word)
 
     c = parity_code(3, 3)
-    w, word = low_weight_search(c, w_max=6)
+    w, word, _ = low_weight_search(c, w_max=6)
     assert w == 6
 
-    assert low_weight_search(c, w_max=0) == (None, None)
+    assert low_weight_search(c, w_max=0)[:2] == (None, None)
 
 
 def test_low_weight_budget_refusal():
@@ -122,10 +122,10 @@ def test_macwilliams_pairs():
 
 def test_probes_return_real_codewords():
     code = parity_code(3, 4)
-    w, word = sparse_message_probe(code)
+    w, word, _ = sparse_message_probe(code)
     assert word is not None and code.contains(word)
     assert sum(1 for x in word if x) == w
-    w2, word2 = prefix_subcode_probe(code, op_budget=10 ** 7)
+    w2, word2, _ = prefix_subcode_probe(code, op_budget=10 ** 7)
     assert word2 is not None and code.contains(word2)
     assert sum(1 for x in word2 if x) == w2
 
@@ -197,3 +197,44 @@ def test_distance_result_json():
     blob = res.to_json()
     assert blob["exact"] is True and blob["lower"] == 6
     assert isinstance(blob["method_trace"], list)
+
+
+def _spent(*results):
+    return sum(ops for r in results for _, ops, _ in r.method_trace)
+
+
+def test_certify_pair_shares_one_budget():
+    # Table 2 [57,54] q=7: its dual costs 7^3 * 57 = 19551 ops to enumerate; the
+    # probes that follow on the [57,54] side draw on what is left
+    params = F.FamilyParams(family="qweight", q=7, m=3, ell=0)
+    code = F.family_code(params)
+    assert (code.n, code.k) == (57, 54)
+    hints = F.closed_form_bounds(params)
+    res, dres = certify_pair(code, hints, hints.dual_view(), op_budget=10 ** 5)
+    assert _spent(res, dres) <= 10 ** 5
+    assert dres.exact and dres.lower == 49
+
+
+def test_certify_pair_self_dual_certified_once():
+    params = F.FamilyParams(family="parity", q=3, m=4, i=1)
+    code = F.family_code(params, preset="paper")
+    hints = F.closed_form_bounds(params)
+    res, dres = certify_pair(code, hints, hints.dual_view())
+    for r in (res, dres):
+        assert r.exact and r.lower == r.upper == 9
+        assert code.contains(r.witness_codeword)
+    # no full 3^20-word enumeration, and the dual side costs nothing more
+    assert all(ops < 3 ** 20 for _, ops, _ in res.method_trace)
+    assert _spent(dres) == 0
+
+
+@pytest.mark.parametrize("budget", [0, 10 ** 4, 10 ** 6, 10 ** 8])
+def test_certify_never_overspends(budget):
+    for params in [F.FamilyParams(family="parity", q=3, m=4, i=1),
+                   F.FamilyParams(family="qweight", q=4, m=3, ell=1),
+                   F.FamilyParams(family="qweight", q=5, m=3, ell=1)]:
+        code = F.family_code(params)
+        hints = F.closed_form_bounds(params)
+        assert _spent(certify(code, hints, op_budget=budget)) <= budget
+        pair = certify_pair(code, hints, hints.dual_view(), op_budget=budget)
+        assert _spent(*pair) <= budget
