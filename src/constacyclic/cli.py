@@ -87,8 +87,8 @@ def build_parser():
                         default="json")
     common.add_argument("--out", default=None, help="write output to a file")
     common.add_argument("--extended", action="store_true",
-                        help="table: raise the prefix probe's cap to 1e11 "
-                             "ops, within --budget")
+                        help="certify, table: raise the prefix probe's cap "
+                             "to 1e11 ops, within --budget")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -192,12 +192,18 @@ def cmd_construct(rs):
     }
 
 
+def _prefix_cap(rs):
+    return (distance.EXTENDED_PREFIX_CAP if rs.extended
+            else distance.PREFIX_CAP)
+
+
 def cmd_certify(rs):
     params = _family_params(rs)
     code = families.family_code(params, modulus=rs.modulus,
                                 preset=rs.preset if rs.preset != "auto" else None)
     hints = families.closed_form_bounds(params)
-    result = distance.certify(code, hints=hints, op_budget=rs.budget)
+    result = distance.certify(code, hints=hints, op_budget=rs.budget,
+                              prefix_cap=_prefix_cap(rs))
     payload = {
         "code": {"n": code.n, "k": code.k, "family": params.to_json()},
         "result": result.to_json(),
@@ -206,8 +212,7 @@ def cmd_certify(rs):
 
 
 def cmd_table(rs):
-    prefix_cap = (distance.EXTENDED_PREFIX_CAP if rs.extended
-                  else distance.PREFIX_CAP)
+    prefix_cap = _prefix_cap(rs)
     rows_out = []
     mismatch = False
     for row in tables.table_rows(rs.table_id):

@@ -4,9 +4,14 @@ turns them into certificates.
 Engines, each given an operation cap and returning what it spent:
 
 * exhaustive message enumeration, vectorized in blocks: all combinations of a
-  suffix of generator rows are tabled once, then each prefix codeword is
-  folded in with a single equality scan, counting only messages whose first
-  nonzero symbol is 1 and scaling counts by q-1;
+  suffix of generator rows are tabled once and packed into ceil(log2 q)
+  bit-planes, one bit of every symbol code per plane, in words of up to 64
+  bits.  Two codes are equal exactly when all their bits are, so the weight
+  of a suffix word minus a prefix codeword's negation t is
+  popcount(OR_b(plane_b ^ t_b)) (after Boothby and Bradshaw, "Bitslicing
+  and the Method of Four Russians over larger finite fields", 2009), taken
+  over the rows in cache-sized chunks.  Only messages whose first nonzero
+  symbol is 1 are counted, and counts are scaled by q-1;
 * bounded-weight support search: every vector of weight <= w_max is tested
   by syndrome, so an empty scan is a proof that d > w_max;
 * sparse and prefix probes, which encode low-weight messages or the span of
@@ -19,7 +24,9 @@ debited with what it spent, so a certificate's trace never sums to more
 than its budget (a pair shares one budget).  The stages, in order:
 
 1. bounds: closed-form hints, ``bch_search`` and the weight-modulus lift;
-2. the sparse probe, when enumerating the code (q^k * n ops) exceeds its cap;
+2. the sparse probe, when enumerating the code (q^k * n ops) exceeds its cap,
+   unless a distribution already gives d and a support scan at d costs
+   less than the probe;
 3. with a weight modulus, a support scan of each candidate weight below the
    probe's witness, when that is cheaper than a distribution;
 4. a weight distribution, handed in or enumerated on the cheaper side when
@@ -33,7 +40,7 @@ weight is d, else a support scan at weight d when its predicted cost fits
 min(remaining, 2e10), else the prefix probe.  A result is labeled exact only
 when an explicit codeword meets the proven lower bound.  The prefix probe's
 cap is the one knob: ``PREFIX_CAP`` by default, ``EXTENDED_PREFIX_CAP``
-for ``table --extended`` (through ``certify_pair``), always drawn from the
+for ``--extended`` (``certify`` and ``table`` alike), always drawn from the
 same budget.
 """
 
@@ -50,6 +57,7 @@ from .families import bch_search
 
 DEFAULT_OP_BUDGET = 200_000_000_000  # q^k * n elementary operations
 _BLOCK_BYTES = 64 << 20
+_CHUNK_ROWS = 1 << 14   # rows per kernel step, sized for the cache
 # per-stage caps; every stage is also capped by what is left of the budget
 _PROBE_CAP = 200_000_000        # the sparse probe's, and both probes' default
 PREFIX_CAP = 2_000_000_000
@@ -116,6 +124,18 @@ class DistanceResult:
         }
 
 
+def _add_into(out, a, row, tables):
+    """out = a + row over GF(q), elementwise on uint8 codes, row broadcast
+    over the rows of a."""
+    if tables.s == 1:  # codes are residues mod p; uint8 wraps below zero
+        np.add(a, row, out=out)
+        np.minimum(out, out - tables.p, out=out)
+    else:  # a*q + row < q^2 <= 256 indexes the flattened addition table
+        np.multiply(a, tables.q, out=out)
+        np.add(out, row, out=out)
+        out[...] = tables.add.ravel()[out]
+
+
 def _suffix_block(G, tables, rows):
     """All q^len(rows) combinations of the given generator rows.
 
@@ -123,15 +143,97 @@ def _suffix_block(G, tables, rows):
     (index // q^t) % q.
     """
     q = tables.q
-    n = G.shape[1]
-    block = np.zeros((1, n), dtype=np.uint8)
+    block = np.zeros((q ** len(rows), G.shape[1]), dtype=np.uint8)
+    size = 1
     for r in rows:
-        parts = [block]
         for s in range(1, q):
-            srow = tables.mul[s, G[r]]
-            parts.append(tables.add[block, srow[None, :]])
-        block = np.vstack(parts)
+            _add_into(block[s * size:(s + 1) * size], block[:size],
+                      tables.mul[s, G[r]], tables)
+        size *= q
     return block
+
+
+def _planes(count, n, nbits):
+    """Zeroed bit-planes for count words of length n: (nbits, count, W)
+    little-endian unsigned words, the narrowest of 8 to 64 bits that holds
+    n, and W = ceil(n/64) words of 64 bits beyond that."""
+    size = 8 if n > 32 else 4 if n > 16 else 2 if n > 8 else 1
+    return np.zeros((nbits, count, -(-n // (8 * size))), dtype=f"<u{size}")
+
+
+def _pack_into(planes, rows):
+    """Bit b of the uint8 symbol code rows[r, i] goes to bit i % L of word
+    i // L of planes[b, r], for words of L bits."""
+    c, n = rows.shape
+    nbytes = (n + 7) // 8
+    dest = planes.view(np.uint8)
+    bits = np.zeros((c, 8 * nbytes), dtype=np.uint8)  # rows padded to bytes
+    for b in range(len(planes)):
+        np.right_shift(rows, b, out=bits[:, :n])
+        np.bitwise_and(bits, 1, out=bits)
+        dest[b, :, :nbytes] = np.packbits(
+            bits.ravel(), bitorder="little").reshape(c, nbytes)
+
+
+class _PackedBlock:
+    """A suffix block as bit-planes, scanned in chunks of _CHUNK_ROWS rows.
+
+    Two symbol codes are equal exactly when all their bits are, so row r
+    differs from a target word t where OR_b(plane_b ^ t_b) has a 1, and the
+    weight of row r - t is the popcount of that mask.
+    """
+
+    def __init__(self, block, nbits):
+        rows, n = block.shape
+        self.n = n
+        self.planes = _planes(rows, n, nbits)
+        for lo in range(0, rows, _CHUNK_ROWS):
+            _pack_into(self.planes[:, lo:lo + _CHUNK_ROWS],
+                       block[lo:lo + _CHUNK_ROWS])
+        shape = (min(rows, _CHUNK_ROWS), self.planes.shape[2])
+        self._diff = np.empty(shape, dtype=self.planes.dtype)
+        self._tmp = np.empty(shape, dtype=self.planes.dtype)
+        self._pop = np.empty(shape, dtype=np.uint8)
+        self._sum = np.empty(shape[0], dtype=np.intp)
+
+    def _weights(self, target, lo, hi):
+        diff, tmp = self._diff[:hi - lo], self._tmp[:hi - lo]
+        np.bitwise_xor(self.planes[0, lo:hi], target[0], out=diff)
+        for b in range(1, len(target)):
+            np.bitwise_xor(self.planes[b, lo:hi], target[b], out=tmp)
+            np.bitwise_or(diff, tmp, out=diff)
+        pop = np.bitwise_count(diff, out=self._pop[:hi - lo])
+        if pop.shape[1] == 1:
+            return pop[:, 0]
+        return np.sum(pop, axis=1, out=self._sum[:hi - lo])
+
+    def scan(self, target, best_w, first=0):
+        """Weights of every row minus target, a word given as its planes.
+
+        Returns (hist, w, row): hist[w] counts the rows of weight w; w is the
+        least weight of the rows >= first and row the first row of that
+        weight when w < best_w, else (best_w, None).
+        """
+        hist = np.zeros(self.n + 1, dtype=np.int64)
+        row = None
+        for lo in range(0, self.planes.shape[1], _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, self.planes.shape[1])
+            wts = self._weights(target, lo, hi)
+            h = np.bincount(wts, minlength=self.n + 1)
+            hist += h
+            skip = max(first - lo, 0)
+            if skip:
+                h = np.bincount(wts[skip:], minlength=self.n + 1)
+            present = np.flatnonzero(h)
+            if present.size and present[0] < best_w:
+                best_w = int(present[0])
+                row = lo + skip + int(np.argmin(wts[skip:]))
+        return hist, best_w, row
+
+
+def _digits(index, j, q):
+    """The j message digits of a suffix-block row, lowest row first."""
+    return tuple(index // q ** t % q for t in range(j))
 
 
 def _combine(G, tables, msg):
@@ -168,24 +270,13 @@ def _weight_distribution(G, tables, *, op_budget, stop_at=None):
     j = 0
     while j < k and q ** (j + 1) <= rows_cap:
         j += 1
-    suffix_rows = list(range(k - j, k))
-    block = _suffix_block(G, tables, suffix_rows)
-    wt = np.count_nonzero(block, axis=1)
-    hist_suffix = np.bincount(wt, minlength=n + 1).astype(object)
-    ops_done = block.shape[0] * n
-
-    best_w = n + 1
-    best_msg = None
-    nz = wt[1:]
-    if nz.size:
-        i = int(np.argmin(nz)) + 1
-        best_w = int(wt[i])
-        digits = []
-        x = i
-        for _ in range(j):
-            digits.append(x % q)
-            x //= q
-        best_msg = (0,) * (k - j) + tuple(digits)
+    nbits = (q - 1).bit_length()
+    block = _PackedBlock(_suffix_block(G, tables, range(k - j, k)), nbits)
+    target = _planes(1, n, nbits)
+    hist_suffix, best_w, i = block.scan(target[:, 0], n + 1, first=1)
+    hist_suffix = hist_suffix.astype(object)
+    ops_done = q ** j * n
+    best_msg = None if i is None else (0,) * (k - j) + _digits(i, j, q)
 
     e0 = np.zeros(n + 1, dtype=object)
     e0[0] = 1
@@ -195,27 +286,16 @@ def _weight_distribution(G, tables, *, op_budget, stop_at=None):
     else:
         acc = (hist_suffix - e0) // (q - 1)
         completed = True
-        stopped = False
-        if stop_at is not None and best_w <= stop_at:
-            stopped = True
+        stopped = stop_at is not None and best_w <= stop_at
         if not stopped:
             for prefix in _lead_one_prefixes(k - j, q):
-                pref = _combine(G, tables, prefix)
-                t = tables.neg[pref]
-                matches = np.count_nonzero(block == t[None, :], axis=1)
-                zhist = np.bincount(matches, minlength=n + 1)
-                acc += zhist[::-1].astype(object)
-                ops_done += block.shape[0] * n
-                mmax = int(matches.max())
-                if n - mmax < best_w:
-                    best_w = n - mmax
-                    i = int(np.argmax(matches))
-                    digits = []
-                    x = i
-                    for _ in range(j):
-                        digits.append(x % q)
-                        x //= q
-                    best_msg = tuple(prefix) + tuple(digits)
+                t = tables.neg[_combine(G, tables, prefix)]
+                _pack_into(target, t[None])
+                hist, best_w, i = block.scan(target[:, 0], best_w)
+                acc += hist.astype(object)
+                ops_done += q ** j * n
+                if i is not None:
+                    best_msg = tuple(prefix) + _digits(i, j, q)
                     if stop_at is not None and best_w <= stop_at:
                         stopped = True
                         break
@@ -329,6 +409,19 @@ def low_weight_search(code, w_max, w_min=1, op_budget=DEFAULT_OP_BUDGET,
     return None, None, spent
 
 
+def _sparse_probe_plan(k, n, q, op_budget, max_message_weight=3):
+    """The message weights the sparse probe can afford, and their ops:
+    C(k,w) (q-1)^(w-1) n w for weight w, while the running sum fits."""
+    weights, spent = [], 0
+    for w in range(1, min(max_message_weight, k) + 1):
+        cost = math.comb(k, w) * (q - 1) ** (w - 1) * n * w
+        if spent + cost > op_budget:
+            break
+        weights.append(w)
+        spent += cost
+    return weights, spent
+
+
 def sparse_message_probe(code, max_message_weight=3, op_budget=_PROBE_CAP,
                          chunk=2048):
     """Cheap upper-bound probe: encode all messages of small weight.
@@ -342,12 +435,8 @@ def sparse_message_probe(code, max_message_weight=3, op_budget=_PROBE_CAP,
     G = code.generator_matrix()
     tables = code.tower.subfield_tables()
     best_w, best_word = None, None
-    spent = 0
-    for w in range(1, min(max_message_weight, k) + 1):
-        cost = math.comb(k, w) * (q - 1) ** (w - 1) * n * w
-        if spent + cost > op_budget:
-            break
-        spent += cost
+    weights, spent = _sparse_probe_plan(k, n, q, op_budget, max_message_weight)
+    for w in weights:
         patterns = _scalar_patterns(q, w, tables)
         combos = itertools.combinations(range(k), w)
         while True:
@@ -525,10 +614,15 @@ def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
               f"delta = {wit.delta} (b = {wit.b}, a = {wit.a})")
     upper, witness = n, None
 
-    # 2. sparse probe: only when no witness is in hand and enumerating the
-    # code is not trivially cheap
+    # 2. sparse probe: only when no witness is in hand, enumerating the
+    # code is not trivially cheap, and a distribution's d does not come with
+    # a cheaper witness from the support scan at d in stage 4
     cap = min(led.remaining, _PROBE_CAP)
-    if (settled is None or settled.witness is None) and 0 < cap < q ** k * n:
+    scan_first = settled is not None and \
+        scan_cost(settled.d) <= min(led.remaining, _WITNESS_CAP) and \
+        scan_cost(settled.d) < _sparse_probe_plan(k, n, q, cap)[1]
+    if (settled is None or settled.witness is None) and not scan_first \
+            and 0 < cap < q ** k * n:
         w, word, ops = sparse_message_probe(code, op_budget=cap)
         if w is not None and w < upper:
             upper, witness = w, word
@@ -589,10 +683,11 @@ def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
     return done(lower, upper, witness)
 
 
-def certify(code, hints=None, op_budget=DEFAULT_OP_BUDGET):
+def certify(code, hints=None, op_budget=DEFAULT_OP_BUDGET,
+            prefix_cap=PREFIX_CAP):
     """Reconcile lower bounds with explicit codewords into a certificate,
     spending at most op_budget operations (see the module docstring)."""
-    return _plan(code, hints, op_budget)
+    return _plan(code, hints, op_budget, prefix_cap=prefix_cap)
 
 
 def certify_pair(code, hints=None, dual_hints=None,

@@ -171,6 +171,20 @@ def test_table_extended_stays_within_budget(capsys):
         assert spent <= budget, (row["published"], spent)
 
 
+def test_certify_extended_raises_prefix_cap(capsys):
+    from constacyclic.distance import PREFIX_CAP
+
+    budget = 10 ** 10
+    code, obj = run_json(["certify", "--family", "parity", "--q", "3",
+                          "--m", "4", "--i", "1", "--budget", str(budget),
+                          "--extended"], capsys)
+    assert code == 0
+    trace = obj["result"]["method_trace"]
+    probe = [e["ops"] for e in trace if e["method"] == "prefix-probe"]
+    assert probe and probe[0] > PREFIX_CAP
+    assert sum(e["ops"] for e in trace) <= budget
+
+
 def test_scripts_smoke(tmp_path):
     import subprocess, sys, json as _json
 

@@ -4,10 +4,10 @@ import pytest
 
 from constacyclic import families as F
 from constacyclic.codes import ConstacyclicCode, defining_set
-from constacyclic.distance import (certify, certify_pair,
-                                   exhaustive_enumerator, low_weight_search,
-                                   macwilliams_transform, prefix_subcode_probe,
-                                   sparse_message_probe)
+from constacyclic.distance import (_PROBE_CAP, _sparse_probe_plan, certify,
+                                   certify_pair, exhaustive_enumerator,
+                                   low_weight_search, macwilliams_transform,
+                                   prefix_subcode_probe, sparse_message_probe)
 from constacyclic.errors import BadParams, BudgetExceeded
 from constacyclic.galois import tower_for
 from constacyclic.qadic import index_universe
@@ -213,6 +213,23 @@ def test_certify_pair_shares_one_budget():
     res, dres = certify_pair(code, hints, hints.dual_view(), op_budget=10 ** 5)
     assert _spent(res, dres) <= 10 ** 5
     assert dres.exact and dres.lower == 49
+
+
+def test_certify_pair_support_scan_replaces_sparse_probe():
+    # [57,54] q=7: the dual's distribution gives d = 3 but no witness; a
+    # support scan at weight 3 (~1.3e6 ops) is cheaper than the sparse
+    # probe (~1.5e8 ops), so the probe does not run
+    params = F.FamilyParams(family="qweight", q=7, m=3, ell=0)
+    code = F.family_code(params)
+    hints = F.closed_form_bounds(params)
+    res, dres = certify_pair(code, hints, hints.dual_view())
+    assert res.exact and res.lower == 3
+    assert code.contains(res.witness_codeword)
+    assert dres.exact and dres.lower == 49
+    methods = [m for r in (res, dres) for m, _, _ in r.method_trace]
+    assert "sparse-probe" not in methods and "support-scan" in methods
+    _, probe_ops = _sparse_probe_plan(code.k, code.n, 7, _PROBE_CAP)
+    assert _spent(res, dres) < probe_ops
 
 
 def test_certify_pair_self_dual_certified_once():
