@@ -126,14 +126,19 @@ class DistanceResult:
 
 def _add_into(out, a, row, tables):
     """out = a + row over GF(q), elementwise on uint8 codes, row broadcast
-    over the rows of a."""
-    if tables.s == 1:  # codes are residues mod p; uint8 wraps below zero
+    over the rows of a.  The uint8 shortcuts are taken only where their
+    intermediates fit in a byte; larger fields index the addition table."""
+    if tables.s == 1 and 2 * (tables.p - 1) < 256:
+        # codes are residues mod p; uint8 wraps below zero
         np.add(a, row, out=out)
         np.minimum(out, out - tables.p, out=out)
-    else:  # a*q + row < q^2 <= 256 indexes the flattened addition table
+    elif tables.s > 1 and tables.q * tables.q <= 256:
+        # a*q + row < q^2 indexes the flattened addition table
         np.multiply(a, tables.q, out=out)
         np.add(out, row, out=out)
         out[...] = tables.add.ravel()[out]
+    else:
+        out[...] = tables.add[a, row]
 
 
 def _suffix_block(G, tables, rows):

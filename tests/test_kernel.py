@@ -12,6 +12,7 @@ import itertools
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,13 +103,15 @@ def byte_scan_distribution(G, tables, stop_at=None):
 
 @st.composite
 def kernel_cases(draw):
-    q = draw(st.sampled_from([3, 4, 5, 7, 9]))
+    # 25 and 27 have codes past 16, where a*q + b no longer fits in a byte
+    q = draw(st.sampled_from([3, 4, 5, 7, 9, 25, 27]))
     # 63, 64 and 65 straddle one 64-bit word; 130 needs three
     n = draw(st.one_of(st.integers(1, 24), st.sampled_from([63, 64, 65, 130])))
     k = draw(st.integers(1, max(1, int(np.log(3000) / np.log(q)))))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     G = np.random.default_rng(seed).integers(0, q, (k, n), dtype=np.uint8)
-    block_rows = draw(st.integers(1, q ** k + 1))
+    # a whole-code block builds every suffix sum, nonzero plus nonzero
+    block_rows = draw(st.one_of(st.just(q ** k), st.integers(1, q ** k + 1)))
     chunk_rows = draw(st.integers(1, 40))
     stop_at = draw(st.one_of(st.none(), st.integers(0, n)))
     return q, G, block_rows, chunk_rows, stop_at
@@ -128,3 +131,17 @@ def test_packed_kernel_matches_byte_scan(case):
             got = distance._weight_distribution(G, tables, op_budget=10 ** 12,
                                                 stop_at=stop)
             assert got == byte_scan_distribution(G, tables, stop_at=stop)
+
+
+@pytest.mark.parametrize("q", [25, 27, 49, 131, 251])
+def test_packed_kernel_large_fields(q):
+    # two suffix rows add nonzero codes to nonzero codes; past q = 16 (or
+    # p = 128) the sums overflow a byte unless the kernel widens them
+    tables = tower_for(q, 2, 1).subfield_tables()
+    G = np.random.default_rng(q).integers(0, q, (2, 7), dtype=np.uint8)
+    np.testing.assert_array_equal(
+        distance._suffix_block(G, tables, range(2)),
+        _suffix_block(G, tables, range(2)))
+    got = distance._weight_distribution(G, tables, op_budget=10 ** 12)
+    assert got == byte_scan_distribution(G, tables)
+    assert sum(got[0].values()) == q ** 2
