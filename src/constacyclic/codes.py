@@ -5,6 +5,15 @@ mod r) where its generator vanishes at beta^i.  Everything else follows:
 g = product of minimal polynomials over the set's coset leaders, h the
 cofactor, duals and complements by set algebra, matrices in shift-register
 form, membership by divisibility.
+
+g and h are computed once, in GF(q) code space: each coset's minimal
+polynomial (a log-domain ``Poly`` in the extension field) is multiplied into
+a uint8 code array with ``mul_codes``, and h = (x^n - lambda) / g comes from
+``divmod_codes``, with lambda the code's own shift constant.  Matrices,
+encoding and membership read those arrays; ``code.g`` and ``code.h`` are
+``Poly`` views of them for display and serialization.  Self-duality for
+prime q tests G G^T = 0 with a float64 product, exact while
+(p - 1)^2 n < 2^53.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BadParams, LengthMismatch, NotCosetClosed, ShiftMismatch)
-from .galois import ONE, ZERO, build_tower
-from .polyring import Poly, minimal_polynomial
+from .galois import build_tower
+from .polyring import Poly, divmod_codes, minimal_polynomial, mul_codes
 from .qadic import cyclotomic_coset, index_universe
 
 
@@ -108,8 +117,11 @@ class ConstacyclicCode:
         self.residue = uni.residue
         self.n = tower.n
         self.lambda_log = (uni.residue * tower.n) % tower.N
-        self.g = self._generator()
-        self.h = self._cofactor()
+        self._tables = tower.subfield_tables()
+        self._g_codes = self._generator()
+        self._h_codes = self._cofactor()
+        self.g = Poly.from_codes(tower, self._g_codes.tolist())
+        self.h = Poly.from_codes(tower, self._h_codes.tolist())
         self.k = self.n - len(dset)
         self._G = None
         self._H = None
@@ -117,18 +129,21 @@ class ConstacyclicCode:
     # -- construction --
 
     def _generator(self):
+        """Ascending GF(q) codes of the product of the minimal polynomials."""
         t = self.tower
-        g = Poly.one(t)
+        g = np.ones(1, dtype=np.uint8)
         for leader in self.defining_set.leaders:
-            g = g * minimal_polynomial(cyclotomic_coset(leader, t.q, t.N), t)
+            f = minimal_polynomial(cyclotomic_coset(leader, t.q, t.N), t)
+            g = mul_codes(g, f.codes(), self._tables)
         return g
 
     def _cofactor(self):
-        t = self.tower
-        lam = self.lambda_log
-        target = Poly(t, [t.neg(lam)] + [ZERO] * (self.n - 1) + [ONE])
-        quo, rem = target.divmod(self.g)
-        if not rem.is_zero():
+        """Ascending GF(q) codes of (x^n - lambda) / g."""
+        target = np.zeros(self.n + 1, dtype=np.uint8)
+        target[0] = self._tables.neg[self.lambda_code]
+        target[-1] = 1
+        quo, rem = divmod_codes(target, self._g_codes, self._tables)
+        if len(rem):
             raise ArithmeticError("generator does not divide x^n - lambda; "
                                   "internal inconsistency")
         return quo
@@ -179,20 +194,25 @@ class ConstacyclicCode:
 
     # -- vectors --
 
+    def _as_codes(self, word, what, dim, length):
+        """A vector of GF(q) codes as a uint8 array of the given length."""
+        word = np.array([int(c) for c in word], dtype=np.int64)
+        if len(word) != length:
+            raise LengthMismatch(f"{what} length {len(word)} != {dim} = {length}")
+        bad = (word < 0) | (word >= self.tower.q)
+        if bad.any():
+            raise BadParams(f"code {word[bad][0]} out of range for "
+                            f"GF({self.tower.q})")
+        return word.astype(np.uint8)
+
     def encode(self, message):
-        message = tuple(int(c) for c in message)
-        if len(message) != self.k:
-            raise LengthMismatch(f"message length {len(message)} != k = {self.k}")
-        word = (Poly.from_codes(self.tower, message) * self.g).codes()
-        return word + (0,) * (self.n - len(word))
+        message = self._as_codes(message, "message", "k", self.k)
+        word = mul_codes(message, self._g_codes, self._tables).tolist()
+        return tuple(word) + (0,) * (self.n - len(word))
 
     def contains(self, word):
-        word = tuple(int(c) for c in word)
-        if len(word) != self.n:
-            raise LengthMismatch(f"word length {len(word)} != n = {self.n}")
-        if self.k == 0:
-            return not any(word)
-        return (Poly.from_codes(self.tower, word) % self.g).is_zero()
+        word = self._as_codes(word, "word", "n", self.n)
+        return not len(divmod_codes(word, self._g_codes, self._tables)[1])
 
     def twisted_shift(self, word):
         """(lambda * c_{n-1}, c_0, ..., c_{n-2})"""
@@ -205,7 +225,7 @@ class ConstacyclicCode:
     def generator_matrix(self):
         """k x n shift-register form: row j holds x^j * g(x)."""
         if self._G is None:
-            gc = self.g.codes()
+            gc = self._g_codes
             G = np.zeros((self.k, self.n), dtype=np.uint8)
             for j in range(self.k):
                 G[j, j:j + len(gc)] = gc
@@ -218,7 +238,8 @@ class ConstacyclicCode:
             if self.k == self.n:
                 self._H = np.zeros((0, self.n), dtype=np.uint8)
             else:
-                hc = self.h.reciprocal().codes()
+                h = self._h_codes
+                hc = self._tables.mul[self._tables.inv[h[0]], h[::-1]]
                 H = np.zeros((self.n - self.k, self.n), dtype=np.uint8)
                 for j in range(self.n - self.k):
                     H[j, j:j + len(hc)] = hc
@@ -228,10 +249,10 @@ class ConstacyclicCode:
     # -- self-duality --
 
     def _gram_is_zero(self):
-        G = self.generator_matrix().astype(np.int64)
-        tab = self.tower.subfield_tables()
+        tab = self._tables
         if tab.s == 1:
-            return not ((G @ G.T) % tab.p).any()
+            return not _gram_mod_p(self.generator_matrix(), tab.p).any()
+        G = self.generator_matrix().astype(np.int64)
         mul = tab.mul
         for t in range(tab.s):
             digmul = tab.dig[t][mul].astype(np.int64)  # (q, q) digit-t of products
@@ -277,6 +298,18 @@ class ConstacyclicCode:
         kind = "negacyclic" if (self.tower.r == 2 and self.residue == 1) else \
             f"lambda={lam}-constacyclic"
         return f"ConstacyclicCode([{self.n},{self.k}] {kind} over GF({self.tower.q}))"
+
+
+def _gram_mod_p(G, p):
+    """G G^T mod p for a matrix of GF(p) codes, by a float64 BLAS product.
+
+    Every entry of the product is a sum of n terms below p^2, so it is exact
+    while (p - 1)^2 n < 2^53.
+    """
+    if (p - 1) ** 2 * G.shape[1] >= 2 ** 53:
+        raise ArithmeticError("float64 Gram product would not be exact")
+    F = G.astype(np.float64)
+    return (F @ F.T).astype(np.int64) % p
 
 
 def code_from_defining_set(tower, dset):

@@ -753,17 +753,15 @@ def bch_search(dset, a_candidates=None, delta_cap=None, complement=False):
         if flags.all():
             delta, b = n, int(walk[0])
         else:
+            # runs of flags between consecutive gaps, the last one wrapping
             gaps = np.flatnonzero(~flags)
+            gaps = np.append(gaps, gaps[0] + n)
             runs = np.diff(gaps) - 1
-            starts = gaps[:-1] + 1
-            run_list = list(zip(runs.tolist(), starts.tolist()))
-            wrap_run = int(gaps[0]) + n - 1 - int(gaps[-1])
-            run_list.append((wrap_run, int(gaps[-1]) + 1))
-            longest = max(r0 for r0, _ in run_list)
+            longest = int(runs.max())
             if longest == 0:
                 continue  # unreachable for a nonempty target
-            bs = [int(walk[s % n]) for r0, s in run_list if r0 == longest]
-            delta, b = min(longest + 1, n), min(bs)
+            starts = gaps[:-1][runs == longest] + 1
+            delta, b = min(longest + 1, n), int(walk[starts % n].min())
         if best is None or delta > best[0]:
             best = (delta, a, b)
             if delta >= delta_cap:

@@ -5,9 +5,17 @@ Coefficients are stored in the tower's log representation (ascending powers,
 no trailing zeros).  Polynomials whose coefficients lie in GF(q) round-trip
 through integer code lists; the pretty printer emits the descending-power
 string form, e.g. "x^8 + 2x^7 + x^5 + x^3 + 2x + 1".
+
+``Poly`` arithmetic loops over coefficients in Python and is kept for work in
+the extension field (minimal polynomials, gcd, irreducibility).  GF(q)
+polynomials of code length use ``mul_codes`` and ``divmod_codes`` instead:
+ascending uint8 code arrays and the tower's ``SubfieldTables``, one vector
+update per coefficient.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import (BadParams, CoefficientLeak, DivByZero, ShiftMismatch,
                      ZeroConstantTerm)
@@ -221,6 +229,62 @@ def poly_from_json(tower, obj):
     if obj.get("field") != tower.q:
         raise BadParams(f"polynomial field {obj.get('field')} != GF({tower.q})")
     return Poly.from_codes(tower, obj["coeffs"])
+
+
+def _trim(codes):
+    """Drop trailing zero codes (the zero polynomial is the empty array)."""
+    nz = np.flatnonzero(codes)
+    return codes[:nz[-1] + 1] if len(nz) else codes[:0]
+
+
+def mul_codes(a, b, tables):
+    """Product of two GF(q) polynomials given as ascending code arrays.
+
+    One vector pass over the longer factor per nonzero coefficient of the
+    shorter one; returns a trimmed uint8 array.
+    """
+    a = _trim(np.asarray(a, dtype=np.uint8))
+    b = _trim(np.asarray(b, dtype=np.uint8))
+    if not len(a) or not len(b):
+        return np.zeros(0, dtype=np.uint8)
+    if len(a) < len(b):
+        a, b = b, a
+    add, mul = tables.add, tables.mul
+    out = np.zeros(len(a) + len(b) - 1, dtype=np.uint8)
+    for i, c in enumerate(b.tolist()):
+        if c:
+            seg = out[i:i + len(a)]
+            seg[:] = add[seg, mul[c, a]]
+    return out
+
+
+def divmod_codes(a, b, tables):
+    """(quotient, remainder) of GF(q) code arrays by synthetic division.
+
+    Each quotient coefficient f costs one vector update of deg(b) + 1
+    entries, rem[i - deg b : i + 1] += f * (-b), read from a precomputed
+    (q, deg b + 1) table.  Both results are trimmed uint8 arrays.
+    """
+    a = _trim(np.asarray(a, dtype=np.uint8))
+    b = _trim(np.asarray(b, dtype=np.uint8))
+    if not len(b):
+        raise DivByZero("polynomial division by zero")
+    db = len(b) - 1
+    rem = a.copy()
+    if len(rem) <= db:
+        return np.zeros(0, dtype=np.uint8), rem
+    add, mul = tables.add, tables.mul
+    inv_lc = int(tables.inv[b[-1]])
+    step = mul[:, tables.neg[b]]           # step[f] = f * (-b)
+    quo = np.zeros(len(rem) - db, dtype=np.uint8)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = int(rem[i])
+        if c:
+            f = int(mul[c, inv_lc])
+            quo[i - db] = f
+            seg = rem[i - db:i + 1]
+            seg[:] = add[seg, step[f]]
+    return quo, _trim(rem[:db])
 
 
 def xn_minus_lambda(tower):

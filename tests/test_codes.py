@@ -1,15 +1,17 @@
+import hashlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from constacyclic.codes import (ConstacyclicCode, code_from_descriptor,
-                                defining_set)
+from constacyclic.codes import (ConstacyclicCode, _gram_mod_p,
+                                code_from_descriptor, defining_set)
 from constacyclic.errors import (LengthMismatch, NotCosetClosed, ShiftMismatch)
-from constacyclic.galois import ZERO, tower_for
-from constacyclic.polyring import Poly, xn_minus_lambda
-from constacyclic.qadic import index_universe
+from constacyclic.galois import ONE, ZERO, tower_for
+from constacyclic.polyring import Poly, minimal_polynomial, xn_minus_lambda
+from constacyclic.qadic import cyclotomic_coset, index_universe
 from constacyclic import families as F
 
 
@@ -233,3 +235,108 @@ def test_random_defining_sets_properties(leaders):
         word = c.encode(tuple([1] + [0] * (c.k - 1)))
         assert c.contains(word)
         assert c.contains(c.twisted_shift(word))
+
+
+# ----------------------------------------------------------------------
+# code-space g and h against the log-domain Poly path
+# ----------------------------------------------------------------------
+
+# (q, m, r, residue): r > 2 and residue != 1 included
+CODE_SPACE_CLASSES = [(3, 3, 2, 1), (3, 4, 2, 1), (5, 2, 4, 3), (5, 3, 4, 1),
+                      (5, 3, 4, 3), (7, 2, 6, 5), (4, 3, 3, 2), (9, 2, 8, 3),
+                      (25, 2, 2, 1)]
+
+
+def poly_path_g_h(code):
+    """g as a Poly product of minimal polynomials and h = (x^n - lambda) / g."""
+    t = code.tower
+    g = Poly.one(t)
+    for leader in code.defining_set.leaders:
+        g = g * minimal_polynomial(cyclotomic_coset(leader, t.q, t.N), t)
+    target = Poly(t, [t.neg(code.lambda_log)] + [ZERO] * (code.n - 1) + [ONE])
+    if code.residue == 1:
+        assert target == xn_minus_lambda(t)
+    h, rem = target.divmod(g)
+    assert rem.is_zero()
+    return g, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_generator_and_check_match_poly_path(data):
+    q, m, r, residue = data.draw(st.sampled_from(CODE_SPACE_CLASSES))
+    t = tower_for(q, m, r)
+    uni = index_universe(q, r, t.N, residue)
+    kind = data.draw(st.sampled_from(["random", "full", "single", "empty"]))
+    if kind == "random":
+        leaders = data.draw(st.sets(st.sampled_from(uni.gamma1)))
+    elif kind == "full":
+        leaders = uni.gamma1
+    elif kind == "single":
+        leaders = [data.draw(st.sampled_from(uni.gamma1))]
+    else:
+        leaders = []
+    c = ConstacyclicCode(t, defining_set(uni, leaders=sorted(leaders)))
+    g, h = poly_path_g_h(c)
+    assert c.g == g and c.h == h
+    assert c.g.degree == c.n - c.k and c.h.degree == c.k
+    if c.k < c.n:
+        H = c.parity_check_matrix()
+        hhat = h.reciprocal().codes()
+        assert H[0, :len(hhat)].tolist() == list(hhat)
+
+
+def test_cofactor_rejects_a_mutated_generator():
+    for code in [parity_code(3, 4, preset="paper"), qweight_code(5, 3, 1),
+                 make_code(7, 2, 6, [1, 19])]:
+        tab = code.tower.subfield_tables()
+        good = code._g_codes
+        # every change to one non-leading coefficient breaks divisibility
+        for pos in range(len(good) - 1):
+            for delta in range(1, code.tower.q):
+                bad = good.copy()
+                bad[pos] = tab.add[bad[pos], delta]
+                code._g_codes = bad
+                with pytest.raises(ArithmeticError):
+                    code._cofactor()
+        code._g_codes = good
+        assert code._cofactor().tolist() == list(code.h.codes())
+
+
+# sha256 of bytes(g.codes()) and bytes(h.codes()) for qweight q=3 m=8 l=3
+# [3280,2264] over the default modulus, pinned from the log-domain Poly path
+QW_3_8_3_G_SHA256 = ("ae745a731c40850f416b5113b52f716b"
+                     "4f7ab6cf79c558c4c881d65f8c3233a4")
+QW_3_8_3_H_SHA256 = ("a3875dd19885c1b5ba3ab582e14c4d4e"
+                     "dd60db7b9bfebf6a423dfab202e87415")
+
+
+def test_generator_bytes_pinned_at_scale():
+    c = qweight_code(3, 8, 3)
+    assert (c.n, c.k) == (3280, 2264)
+    assert hashlib.sha256(bytes(c.g.codes())).hexdigest() == QW_3_8_3_G_SHA256
+    assert hashlib.sha256(bytes(c.h.codes())).hexdigest() == QW_3_8_3_H_SHA256
+
+
+# ----------------------------------------------------------------------
+# Gram test in float64
+# ----------------------------------------------------------------------
+
+def test_float_gram_matches_int64():
+    self_dual = parity_code(3, 6)
+    other = make_code(3, 4, 2, [5, 23, 25, 41, 53])
+    assert (self_dual.n, self_dual.k) == (364, 182)
+    assert 2 * other.k == other.n
+    for code, expect in [(self_dual, True), (other, False)]:
+        G = code.generator_matrix()
+        exact = (G.astype(np.int64) @ G.astype(np.int64).T) % 3
+        assert np.array_equal(_gram_mod_p(G, 3), exact)
+        assert code._gram_is_zero() is expect
+        assert code.is_self_dual() is expect
+
+
+def test_float_gram_refuses_inexact_sizes():
+    # a zero-stride view: the size check runs before anything is allocated
+    G = np.broadcast_to(np.uint8(1), (1, 2 ** 51))
+    with pytest.raises(ArithmeticError):
+        _gram_mod_p(G, 3)

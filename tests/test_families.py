@@ -1,6 +1,12 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from constacyclic import families as F
+from constacyclic.codes import defining_set
 from constacyclic.errors import BadParams, NoProgression
 from constacyclic.qadic import (cyclotomic_coset, digit_profile, qweight,
                                 index_universe)
@@ -371,6 +377,91 @@ def test_bch_search_on_dual_universe():
     w = F.bch_search(ds)
     assert F.check_witness(w, ds.members, 63, 3, 21, residue=2)
     assert w.delta >= 2
+
+
+def bch_search_reference(dset, a_candidates=None, delta_cap=None,
+                         complement=False):
+    """The run scan as a Python list of (run, start) pairs per step: the
+    reference for the vectorised scan in families.bch_search."""
+    uni = dset.universe
+    N, r, n, residue = uni.N, uni.r, uni.n, uni.residue
+    if delta_cap is None:
+        delta_cap = n
+    members = (frozenset(uni.omega1) - dset.members) if complement else dset.members
+    if not members:
+        raise NoProgression("empty target set")
+    flags_by_elem = np.zeros(n, dtype=bool)
+    for x in members:
+        flags_by_elem[(x - residue) // r] = True
+    if a_candidates is None:
+        a_candidates = F.default_step_candidates(uni.q, r, N)
+    idx = np.arange(n, dtype=np.int64)
+    best = None  # (delta, a, b)
+    for a in a_candidates:
+        a %= N
+        if a == 0 or math.gcd(a, N) != r:
+            raise BadParams(f"candidate step {a} has gcd(a, N) != r")
+        walk = (residue + a * idx) % N
+        flags = flags_by_elem[(walk - residue) // r]
+        if flags.all():
+            delta, b = n, int(walk[0])
+        else:
+            gaps = np.flatnonzero(~flags)
+            runs = np.diff(gaps) - 1
+            starts = gaps[:-1] + 1
+            run_list = list(zip(runs.tolist(), starts.tolist()))
+            wrap_run = int(gaps[0]) + n - 1 - int(gaps[-1])
+            run_list.append((wrap_run, int(gaps[-1]) + 1))
+            longest = max(r0 for r0, _ in run_list)
+            if longest == 0:
+                continue
+            bs = [int(walk[s % n]) for r0, s in run_list if r0 == longest]
+            delta, b = min(longest + 1, n), min(bs)
+        if best is None or delta > best[0]:
+            best = (delta, a, b)
+            if delta >= delta_cap:
+                break
+    if best is None:
+        raise NoProgression("no progression of length >= 1 found")
+    delta, a, b = best
+    return F.make_witness(b=b, a=a, h=0, delta=delta, N=N)
+
+
+# (q, r, N, residue)
+BCH_UNIVERSES = [(3, 2, 26, 1), (3, 2, 80, 1), (3, 2, 242, 1), (3, 2, 728, 1),
+                 (4, 3, 63, 1), (4, 3, 63, 2), (5, 2, 24, 1), (5, 4, 124, 3),
+                 (7, 6, 48, 5), (9, 8, 80, 1)]
+
+
+def _search_or_error(search, dset, **kw):
+    try:
+        w = search(dset, **kw)
+    except NoProgression:
+        return "NoProgression"
+    return (w.delta, w.a, w.b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_bch_search_matches_reference_scan(data):
+    q, r, N, residue = data.draw(st.sampled_from(BCH_UNIVERSES))
+    uni = index_universe(q, r, N, residue)
+    kind = data.draw(st.sampled_from(["random", "full", "single"]))
+    if kind == "random":
+        leaders = data.draw(st.sets(st.sampled_from(uni.gamma1)))
+    elif kind == "full":
+        leaders = uni.gamma1
+    else:
+        leaders = [data.draw(st.sampled_from(uni.gamma1))]
+    ds = defining_set(uni, leaders=sorted(leaders))
+    kw = {"complement": data.draw(st.booleans()),
+          "delta_cap": data.draw(st.none() | st.integers(1, uni.n))}
+    if data.draw(st.booleans()):
+        steps = [a for a in range(r, N, r) if math.gcd(a, N) == r]
+        kw["a_candidates"] = data.draw(
+            st.lists(st.sampled_from(steps), min_size=1, max_size=6))
+    assert (_search_or_error(F.bch_search, ds, **kw)
+            == _search_or_error(bch_search_reference, ds, **kw))
 
 
 def test_weight_modulus_marks_self_dual_instances():

@@ -1,13 +1,14 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constacyclic.errors import (CoefficientLeak, DivByZero, ShiftMismatch,
                                  ZeroConstantTerm)
-from constacyclic.galois import ZERO, tower_for
-from constacyclic.polyring import (Poly, factor_xn_minus_lambda,
+from constacyclic.galois import ZERO, SubfieldTables, tower_for
+from constacyclic.polyring import (Poly, divmod_codes, factor_xn_minus_lambda,
                                    is_irreducible, minimal_polynomial,
-                                   poly_from_json, xn_minus_lambda)
+                                   mul_codes, poly_from_json, xn_minus_lambda)
 from constacyclic.qadic import cyclotomic_coset, index_universe
 
 TOWERS = [(3, 2, 2), (3, 3, 2), (3, 4, 2), (5, 2, 2), (5, 3, 4),
@@ -177,3 +178,98 @@ def test_pretty_generator_exponents_for_any_construction():
     assert t.omega_log == 2 * (t.N // 3)
     f = Poly.from_codes(t, (2, 3, 1))
     assert f.pretty() == "x^2 + w^2*x + w"
+
+
+# ----------------------------------------------------------------------
+# code-space product and division against the log-domain Poly path
+# ----------------------------------------------------------------------
+
+# one small tower per coefficient field; GF(2) has none (towers need q > 2)
+CODE_SPACE_TOWERS = {3: (3, 3, 2), 4: (4, 3, 3), 5: (5, 2, 4), 7: (7, 2, 6),
+                     8: (8, 2, 7), 9: (9, 2, 8), 25: (25, 2, 2),
+                     27: (27, 2, 2)}
+
+GF2_TABLES = SubfieldTables(
+    p=2, s=1, q=2,
+    add=np.array([[0, 1], [1, 0]], dtype=np.uint8),
+    mul=np.array([[0, 0], [0, 1]], dtype=np.uint8),
+    neg=np.array([0, 1], dtype=np.uint8),
+    inv=np.array([0, 1], dtype=np.uint8),
+    dig=np.array([[0, 1]], dtype=np.uint8))
+
+
+def _gf2_divmod(a, b):
+    """Schoolbook GF(2) division on trimmed ascending 0/1 lists."""
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(rem) - len(b), -1, -1):
+        if rem[i + len(b) - 1]:
+            quo[i] = 1
+            for j, c in enumerate(b):
+                rem[i + j] ^= c
+    return _strip(quo), _strip(rem[:len(b) - 1])
+
+
+def _strip(codes):
+    codes = list(codes)
+    while codes and codes[-1] == 0:
+        codes.pop()
+    return tuple(codes)
+
+
+def _gf2_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= x & y
+    return _strip(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_code_space_matches_poly(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 25, 27]))
+    deg_b = data.draw(st.integers(0, 8))
+    # deg_a < deg_b happens: a dividend shorter than the divisor
+    deg_a = data.draw(st.integers(0, 24))
+    a = data.draw(st.lists(st.integers(0, q - 1), min_size=deg_a + 1,
+                           max_size=deg_a + 1))
+    b = data.draw(st.lists(st.integers(0, q - 1), min_size=deg_b,
+                           max_size=deg_b)) + [data.draw(st.integers(1, q - 1))]
+    if q == 2:
+        tables = GF2_TABLES
+        prod, (quo, rem) = _gf2_mul(a, b), _gf2_divmod(_strip(a), b)
+    else:
+        t = tower_for(*CODE_SPACE_TOWERS[q])
+        tables = t.subfield_tables()
+        pa, pb = Poly.from_codes(t, a), Poly.from_codes(t, b)
+        prod = (pa * pb).codes()
+        quo, rem = (x.codes() for x in pa.divmod(pb))
+    got_prod = mul_codes(np.array(a, dtype=np.uint8), b, tables)
+    got_quo, got_rem = divmod_codes(a, np.array(b, dtype=np.uint8), tables)
+    assert tuple(got_prod.tolist()) == prod
+    assert tuple(got_quo.tolist()) == quo
+    assert tuple(got_rem.tolist()) == rem
+    assert len(got_rem) < len(b)
+    # quotient * divisor + remainder == dividend, in code space
+    back = mul_codes(got_quo, b, tables)
+    back = np.concatenate([back, np.zeros(max(len(got_rem) - len(back), 0),
+                                          dtype=np.uint8)])
+    back[:len(got_rem)] = tables.add[back[:len(got_rem)], got_rem]
+    assert _strip(back.tolist()) == _strip(a)
+
+
+def test_code_space_edge_cases():
+    tables = tower_for(3, 3, 2).subfield_tables()
+    # degree-0 divisor: the quotient is the dividend scaled by its inverse
+    quo, rem = divmod_codes([1, 2, 0, 1], [2], tables)
+    assert quo.tolist() == [2, 1, 0, 2] and rem.tolist() == []
+    # a dividend shorter than the divisor is its own remainder
+    quo, rem = divmod_codes([2, 1], [1, 0, 1], tables)
+    assert quo.tolist() == [] and rem.tolist() == [2, 1]
+    # zero operands and trailing zeros
+    assert mul_codes([], [1, 1], tables).tolist() == []
+    assert mul_codes([0, 0], [1, 1], tables).tolist() == []
+    assert mul_codes([1, 1, 0], [2, 0], tables).tolist() == [2, 2]
+    assert divmod_codes([0, 0], [1, 1], tables)[0].tolist() == []
+    with pytest.raises(DivByZero):
+        divmod_codes([1, 2], [0, 0], tables)
