@@ -4,7 +4,7 @@ from .codes import ConstacyclicCode, DefiningSet, code_from_defining_set, \
     code_from_descriptor, defining_set
 from .distance import (DistanceResult, WeightEnumerator, certify,
                        certify_pair, exhaustive_enumerator, low_weight_search,
-                       macwilliams_transform, sparse_message_probe)
+                       macwilliams_transform)
 from .families import (BchWitness, ClosedFormReport, FamilyParams, bch_search,
                        closed_form_bounds, cprm_defining_set, family_code,
                        family_defining_set, parity_defining_set,

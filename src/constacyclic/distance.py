@@ -14,8 +14,8 @@ Engines, each given an operation cap and returning what it spent:
   symbol is 1 are counted, and counts are scaled by q-1;
 * bounded-weight support search: every vector of weight <= w_max is tested
   by syndrome, so an empty scan is a proof that d > w_max;
-* sparse and prefix probes, which encode low-weight messages or the span of
-  the first generator rows to find explicit codewords (upper bounds).
+* the prefix probe, which enumerates the span of the first generator rows to
+  find an explicit codeword (an upper bound).
 
 ``certify`` and ``certify_pair`` run one planner against one ledger: the
 operations left of ``op_budget`` plus a trace of what each stage actually
@@ -24,24 +24,19 @@ debited with what it spent, so a certificate's trace never sums to more
 than its budget (a pair shares one budget).  The stages, in order:
 
 1. bounds: closed-form hints, ``bch_search`` and the weight-modulus lift;
-2. the sparse probe, when enumerating the code (q^k * n ops) exceeds its cap,
-   unless a distribution already gives d and a support scan at d costs
-   less than the probe;
-3. with a weight modulus, a support scan of each candidate weight below the
-   probe's witness, when that is cheaper than a distribution;
-4. a weight distribution, handed in or enumerated on the cheaper side when
+2. a weight distribution, handed in or enumerated on the cheaper side when
    affordable: the code itself stops early at the lower bound, the dual is
-   followed by the MacWilliams transform;
-5. otherwise the prefix probe, then a support scan ramping up from the lower
-   bound.
+   followed by the MacWilliams transform; then a witness of weight d, from
+   the code's own enumeration or a support scan at d when its predicted
+   cost fits min(remaining, 2e10);
+3. otherwise the prefix probe, which stops at the first word whose weight
+   meets the lower bound;
+4. without a distribution, a support scan ramping up from the lower bound.
 
-Once a distribution certifies d, the witness is the probe's codeword if its
-weight is d, else a support scan at weight d when its predicted cost fits
-min(remaining, 2e10), else the prefix probe.  A result is labeled exact only
-when an explicit codeword meets the proven lower bound.  The prefix probe's
-cap is the one knob: ``PREFIX_CAP`` by default, ``EXTENDED_PREFIX_CAP``
-for ``--extended`` (``certify`` and ``table`` alike), always drawn from the
-same budget.
+A result is labeled exact only when an explicit codeword meets the proven
+lower bound.  The prefix probe's cap is the one knob: ``PREFIX_CAP`` by
+default, ``EXTENDED_PREFIX_CAP`` for ``--extended`` (``certify`` and
+``table`` alike), always drawn from the same budget.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ DEFAULT_OP_BUDGET = 200_000_000_000  # q^k * n elementary operations
 _BLOCK_BYTES = 64 << 20
 _CHUNK_ROWS = 1 << 14   # rows per kernel step, sized for the cache
 # per-stage caps; every stage is also capped by what is left of the budget
-_PROBE_CAP = 200_000_000        # the sparse probe's, and both probes' default
 PREFIX_CAP = 2_000_000_000
 EXTENDED_PREFIX_CAP = 100_000_000_000
 _WITNESS_CAP = 20_000_000_000
@@ -414,61 +408,13 @@ def low_weight_search(code, w_max, w_min=1, op_budget=DEFAULT_OP_BUDGET,
     return None, None, spent
 
 
-def _sparse_probe_plan(k, n, q, op_budget, max_message_weight=3):
-    """The message weights the sparse probe can afford, and their ops:
-    C(k,w) (q-1)^(w-1) n w for weight w, while the running sum fits."""
-    weights, spent = [], 0
-    for w in range(1, min(max_message_weight, k) + 1):
-        cost = math.comb(k, w) * (q - 1) ** (w - 1) * n * w
-        if spent + cost > op_budget:
-            break
-        weights.append(w)
-        spent += cost
-    return weights, spent
-
-
-def sparse_message_probe(code, max_message_weight=3, op_budget=_PROBE_CAP,
-                         chunk=2048):
-    """Cheap upper-bound probe: encode all messages of small weight.
-
-    Returns (best weight, witness codeword, ops) over the scanned messages,
-    or (None, None, 0) if even weight-1 messages exceed the budget.
-    """
-    k, n, q = code.k, code.n, code.tower.q
-    if k == 0:
-        return None, None, 0
-    G = code.generator_matrix()
-    tables = code.tower.subfield_tables()
-    best_w, best_word = None, None
-    weights, spent = _sparse_probe_plan(k, n, q, op_budget, max_message_weight)
-    for w in weights:
-        patterns = _scalar_patterns(q, w, tables)
-        combos = itertools.combinations(range(k), w)
-        while True:
-            batch = np.array(list(itertools.islice(combos, chunk)),
-                             dtype=np.int64)
-            if batch.size == 0:
-                break
-            Gc = G[batch]  # (C, w, n)
-            for pat in patterns:
-                prod = tables.mul[pat[None, :, None], Gc]  # (C, w, n)
-                words = prod[:, 0, :]
-                for j in range(1, w):
-                    words = tables.add[words, prod[:, j, :]]
-                wts = np.count_nonzero(words, axis=1)
-                i = int(np.argmin(wts))
-                if best_w is None or int(wts[i]) < best_w:
-                    best_w = int(wts[i])
-                    best_word = tuple(int(x) for x in words[i])
-    return best_w, best_word, spent
-
-
-def prefix_subcode_probe(code, op_budget=_PROBE_CAP):
+def prefix_subcode_probe(code, op_budget=PREFIX_CAP, stop_at=None):
     """Upper-bound probe: enumerate the span of the first t generator rows.
 
     t is the largest row count affordable within the budget.  Low-degree
     message polynomials often reach minimum-weight words in these codes, and
-    the scan is deterministic.  Returns (weight, witness, ops), or
+    the scan is deterministic.  With stop_at, the scan ends at the first
+    word of weight <= stop_at.  Returns (weight, witness, ops), or
     (None, None, 0) when not even one row is affordable.
     """
     k, n, q = code.k, code.n, code.tower.q
@@ -481,7 +427,8 @@ def prefix_subcode_probe(code, op_budget=_PROBE_CAP):
         return None, None, 0
     tables = code.tower.subfield_tables()
     _, best_w, best_msg, _, ops = _weight_distribution(
-        code.generator_matrix()[:t], tables, op_budget=op_budget)
+        code.generator_matrix()[:t], tables, op_budget=op_budget,
+        stop_at=stop_at)
     return best_w, code.encode(tuple(best_msg) + (0,) * (k - t)), ops
 
 
@@ -572,7 +519,7 @@ def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
     """Run the certification stages of the module docstring, in order.
 
     settled is a distribution certify_pair enumerated before planning;
-    without one, stage 4 enumerates when affordable.  Never raises on
+    without one, stage 2 enumerates when affordable.  Never raises on
     exhaustion; the result simply stays non-exact.
     """
     n, k, q = code.n, code.k, code.tower.q
@@ -617,41 +564,9 @@ def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
     lower = lift(max(lower, wit.delta))
     led.debit("bch-search", 0,
               f"delta = {wit.delta} (b = {wit.b}, a = {wit.a})")
-    upper, witness = n, None
 
-    # 2. sparse probe: only when no witness is in hand, enumerating the
-    # code is not trivially cheap, and a distribution's d does not come with
-    # a cheaper witness from the support scan at d in stage 4
-    cap = min(led.remaining, _PROBE_CAP)
-    scan_first = settled is not None and \
-        scan_cost(settled.d) <= min(led.remaining, _WITNESS_CAP) and \
-        scan_cost(settled.d) < _sparse_probe_plan(k, n, q, cap)[1]
-    if (settled is None or settled.witness is None) and not scan_first \
-            and 0 < cap < q ** k * n:
-        w, word, ops = sparse_message_probe(code, op_budget=cap)
-        if w is not None and w < upper:
-            upper, witness = w, word
-        led.debit("sparse-probe", ops,
-                  f"upper <= {upper}" if w else "no improvement")
-        if upper == lower:
-            return done(lower, upper, witness)
-
-    # 3. with a weight modulus, the few candidate minima below the witnessed
-    # upper bound can be cheaper to rule out one by one than to enumerate
-    enum_cost = 0 if settled else q ** min(k, n - k) * n
-    if wmod and witness is not None and upper % wmod == 0:
-        cands = [w for w in range(lower, upper) if w % wmod == 0]
-        cost = sum(scan_cost(w) for w in cands)
-        if cands and cost <= min(led.remaining, _WITNESS_CAP) \
-                and cost < enum_cost:
-            for w in cands:
-                word = scan(w)
-                if word is not None:
-                    return done(w, w, word)
-            return done(upper, upper, witness)
-
-    # 4. a weight distribution certifies d; then find a weight-d witness
-    if settled is None and enum_cost <= led.remaining:
+    # 2. a weight distribution certifies d; then find a weight-d witness
+    if settled is None and q ** min(k, n - k) * n <= led.remaining:
         settled = _enumerate(code, lower, led.remaining)
         led.debit(*settled.entry())
     if settled is not None:
@@ -661,8 +576,6 @@ def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
                 f"found weight {d} below certified bound {lower}")
         if settled.witness is not None:
             return done(d, d, settled.witness)
-        if witness is not None and upper == d:
-            return done(d, d, witness)
         lower = d
         if scan_cost(d) <= min(led.remaining, _WITNESS_CAP):
             word = scan(d)
@@ -670,15 +583,19 @@ def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
                 raise ArithmeticError(f"no codeword of certified weight {d}")
             return done(d, d, word)
 
-    # 5. (and the last witness resort) the prefix probe; without a
-    # distribution, then ramp the support scan up from the lower bound
-    w, word, ops = prefix_subcode_probe(code,
-                                        op_budget=min(led.remaining, prefix_cap))
+    # 3. (and the last witness resort) the prefix probe, stopping at the
+    # first word that meets the lower bound
+    upper, witness = n, None
+    w, word, ops = prefix_subcode_probe(
+        code, op_budget=min(led.remaining, prefix_cap), stop_at=lower)
     if w is not None:
-        if w < upper:
-            upper, witness = w, word
-        led.debit("prefix-probe", ops,
-                  f"upper <= {upper}" if w == upper else "no improvement")
+        if w < lower:
+            raise ArithmeticError(
+                f"found weight {w} below certified bound {lower}")
+        upper, witness = w, word
+        led.debit("prefix-probe", ops, f"upper <= {upper}")
+
+    # 4. without a distribution, ramp the support scan up from the lower bound
     if settled is None:
         while lower < upper and scan_cost(lower) <= led.remaining:
             word = scan(lower)

@@ -104,6 +104,7 @@ def _poly_powmod(a, e, mod, p):
     return result
 
 
+@lru_cache(maxsize=None)
 def find_primitive_modulus(p, degree):
     """Lexicographically smallest monic primitive polynomial over GF(p).
 

@@ -423,12 +423,12 @@ def test_extended_long_rows_bound_only():
 @extended
 def test_extended_s4_selector_instance_distance():
     # the published non-identity selector instance is also a [40,20,9] code;
-    # its progression bound stops at 6, so certification leans on the
-    # weight-3 divisibility to rule 6 out and close at the witnessed 9
+    # its progression bound stops at 6, lifted to 9 by the weight-3
+    # divisibility, so the enumeration stops at its first weight-9 word
     params = F.FamilyParams(family="s4", q=3, m=4, selectors=(0, 2))
     code = F.family_code(params, preset="paper")
     res = certify(code, hints=F.closed_form_bounds(params))
     assert res.exact and res.lower == res.upper == 9
     methods = [m for m, _, _ in res.method_trace]
-    assert "support-scan" in methods
+    assert "enumeration" in methods
     _report("s4-selectors", True, "[40,20,9] for selectors (0,2)")

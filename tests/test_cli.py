@@ -172,28 +172,28 @@ def test_table_extended_stays_within_budget(capsys):
 
 
 def test_certify_extended_raises_prefix_cap(capsys):
-    from constacyclic.distance import PREFIX_CAP
-
-    budget = 10 ** 10
-    code, obj = run_json(["certify", "--family", "parity", "--q", "3",
-                          "--m", "4", "--i", "1", "--budget", str(budget),
-                          "--extended"], capsys)
-    assert code == 0
-    trace = obj["result"]["method_trace"]
-    probe = [e["ops"] for e in trace if e["method"] == "prefix-probe"]
-    assert probe and probe[0] > PREFIX_CAP
-    assert sum(e["ops"] for e in trace) <= budget
+    # [57,36] q=7 stays open at [7,12], so neither probe stops early and the
+    # raised cap lets the --extended probe span more generator rows
+    budget = 3_000_000_000
+    argv = ["certify", "--family", "qweight", "--q", "7", "--m", "3",
+            "--ell", "2", "--budget", str(budget)]
+    probes = []
+    for extra in ([], ["--extended"]):
+        code, obj = run_json(argv + extra, capsys)
+        assert code == 3
+        result = obj["result"]
+        assert (result["lower"], result["upper"]) == (7, 12)
+        trace = result["method_trace"]
+        probes.append([e["ops"] for e in trace
+                       if e["method"] == "prefix-probe"][0])
+        assert sum(e["ops"] for e in trace) <= budget
+    assert probes[1] > probes[0]
 
 
 def test_scripts_smoke(tmp_path):
-    import subprocess, sys, json as _json
-
-    out = subprocess.run(
-        [sys.executable, "scripts/selfdual_scan.py", "--m", "4",
-         "--out", str(tmp_path / "scan.json")],
-        capture_output=True, text=True)
-    assert out.returncode == 0
-    blob = _json.loads((tmp_path / "scan.json").read_text())
+    assert cli.main(["selfdual-scan", "--m", "4",
+                     "--out", str(tmp_path / "scan.json")]) == 0
+    blob = json.loads((tmp_path / "scan.json").read_text())
     assert blob["checked"] == 4
 
 

@@ -4,10 +4,9 @@ import pytest
 
 from constacyclic import families as F
 from constacyclic.codes import ConstacyclicCode, defining_set
-from constacyclic.distance import (_PROBE_CAP, _sparse_probe_plan, certify,
-                                   certify_pair, exhaustive_enumerator,
-                                   low_weight_search, macwilliams_transform,
-                                   prefix_subcode_probe, sparse_message_probe)
+from constacyclic.distance import (certify, certify_pair,
+                                   exhaustive_enumerator, low_weight_search,
+                                   macwilliams_transform, prefix_subcode_probe)
 from constacyclic.errors import BadParams, BudgetExceeded
 from constacyclic.galois import tower_for
 from constacyclic.qadic import index_universe
@@ -122,12 +121,16 @@ def test_macwilliams_pairs():
 
 def test_probes_return_real_codewords():
     code = parity_code(3, 4)
-    w, word, _ = sparse_message_probe(code)
+    w, word, _ = prefix_subcode_probe(code, op_budget=10 ** 7)
     assert word is not None and code.contains(word)
     assert sum(1 for x in word if x) == w
-    w2, word2, _ = prefix_subcode_probe(code, op_budget=10 ** 7)
-    assert word2 is not None and code.contains(word2)
-    assert sum(1 for x in word2 if x) == w2
+    # with rows beyond one suffix block, stopping at the weight the full scan
+    # reaches returns a codeword of that weight for fewer operations
+    w, _, ops = prefix_subcode_probe(code, op_budget=10 ** 9)
+    w2, word2, ops2 = prefix_subcode_probe(code, op_budget=10 ** 9, stop_at=w)
+    assert w2 == w and code.contains(word2)
+    assert sum(1 for x in word2 if x) == w
+    assert ops2 < ops
 
 
 def test_certify_exact_small():
@@ -217,8 +220,7 @@ def test_certify_pair_shares_one_budget():
 
 def test_certify_pair_support_scan_replaces_sparse_probe():
     # [57,54] q=7: the dual's distribution gives d = 3 but no witness; a
-    # support scan at weight 3 (~1.3e6 ops) is cheaper than the sparse
-    # probe (~1.5e8 ops), so the probe does not run
+    # support scan at weight 3 (~1.3e6 ops) supplies it
     params = F.FamilyParams(family="qweight", q=7, m=3, ell=0)
     code = F.family_code(params)
     hints = F.closed_form_bounds(params)
@@ -227,9 +229,8 @@ def test_certify_pair_support_scan_replaces_sparse_probe():
     assert code.contains(res.witness_codeword)
     assert dres.exact and dres.lower == 49
     methods = [m for r in (res, dres) for m, _, _ in r.method_trace]
-    assert "sparse-probe" not in methods and "support-scan" in methods
-    _, probe_ops = _sparse_probe_plan(code.k, code.n, 7, _PROBE_CAP)
-    assert _spent(res, dres) < probe_ops
+    assert "support-scan" in methods
+    assert [m for m, _, _ in res.method_trace][-1] == "support-scan"
 
 
 def test_certify_pair_self_dual_certified_once():
@@ -255,3 +256,34 @@ def test_certify_never_overspends(budget):
         assert _spent(certify(code, hints, op_budget=budget)) <= budget
         pair = certify_pair(code, hints, hints.dual_view(), op_budget=budget)
         assert _spent(*pair) <= budget
+
+
+@pytest.mark.parametrize("params, interval, dual_interval", [
+    (F.FamilyParams(family="parity", q=5, m=3, i=1), (9, 24), (6, 14)),
+    (F.FamilyParams(family="qweight", q=3, m=5, ell=1), (7, 13), (29, 45)),
+    (F.FamilyParams(family="qweight", q=7, m=3, ell=1), (11, 24), (9, 17)),
+    (F.FamilyParams(family="qweight", q=7, m=3, ell=2), (7, 12), (17, 24)),
+])
+def test_open_rows_keep_their_intervals(params, interval, dual_interval):
+    # the four published rows that stay open at the default budget
+    code = F.family_code(params)
+    hints = F.closed_form_bounds(params)
+    for target, h, want in ((code, hints, interval),
+                            (code.dual(), hints.dual_view(), dual_interval)):
+        res = certify(target, hints=h)
+        assert (res.lower, res.upper) == want and not res.exact
+        assert target.contains(res.witness_codeword)
+        assert sum(1 for x in res.witness_codeword if x) == res.upper
+
+
+def test_prefix_probe_stops_at_the_lower_bound():
+    # the [40,20] self-dual code at a budget below its 3^20-word enumeration:
+    # the probe ends at the first word of weight 9, the proven lower bound
+    params = F.FamilyParams(family="parity", q=3, m=4, i=1)
+    code = F.family_code(params, preset="paper")
+    res = certify(code, hints=F.closed_form_bounds(params),
+                  op_budget=10 ** 10)
+    assert res.exact and res.lower == res.upper == 9
+    assert code.contains(res.witness_codeword)
+    probe = [ops for m, ops, _ in res.method_trace if m == "prefix-probe"]
+    assert probe and probe[0] < 10 ** 8

@@ -27,6 +27,14 @@ def test_default_modulus_is_lex_smallest():
     assert find_primitive_modulus(3, 2) == (2, 1, 1)
 
 
+def test_default_modulus_search_runs_once():
+    # a cached default-modulus tower must not repeat the modulus search
+    find_primitive_modulus.cache_clear()
+    assert tower_for(3, 8, 2) is tower_for(3, 8, 2)
+    info = find_primitive_modulus.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_paper_preset_towers():
     t = tower_for(3, 2, 2, preset="paper")
     assert t.modulus == (2, 2, 1)
