@@ -1,7 +1,7 @@
 """Constacyclic code construction and minimum-distance certification."""
 
-from .codes import ConstacyclicCode, DefiningSet, code_from_defining_set, \
-    code_from_descriptor, defining_set
+from .codes import (ConstacyclicCode, DefiningSet, code_from_descriptor,
+                    defining_set)
 from .distance import (DistanceResult, WeightEnumerator, certify,
                        certify_pair, exhaustive_enumerator, low_weight_search,
                        macwilliams_transform)

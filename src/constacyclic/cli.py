@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import distance, families, tables
 from .errors import BadParams, NotPrimitive
@@ -27,7 +27,7 @@ EXIT_MISMATCH = 4
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Canonical, serializable form of one CLI invocation."""
+    """Canonical form of one CLI invocation."""
 
     command: str
     q: int = None
@@ -45,25 +45,6 @@ class RunSpec:
     budget: int = distance.DEFAULT_OP_BUDGET
     format: str = "json"
     out: str = None
-    extended: bool = False
-
-    def to_json(self):
-        d = asdict(self)
-        d["selectors"] = list(self.selectors) if self.selectors else None
-        d["modulus"] = list(self.modulus) if self.modulus else None
-        return d
-
-
-def runspec_from_json(obj):
-    known = set(RunSpec.__dataclass_fields__)
-    unknown = set(obj) - known
-    if unknown:
-        raise BadParams(f"unknown RunSpec fields: {sorted(unknown)}")
-    obj = dict(obj)
-    for key in ("selectors", "modulus"):
-        if obj.get(key) is not None:
-            obj[key] = tuple(obj[key])
-    return RunSpec(**obj)
 
 
 def _int_list(text):
@@ -86,9 +67,6 @@ def build_parser():
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
     common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument("--extended", action="store_true",
-                        help="certify, table: raise the prefix probe's cap "
-                             "to 1e11 ops, within --budget")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -192,18 +170,12 @@ def cmd_construct(rs):
     }
 
 
-def _prefix_cap(rs):
-    return (distance.EXTENDED_PREFIX_CAP if rs.extended
-            else distance.PREFIX_CAP)
-
-
 def cmd_certify(rs):
     params = _family_params(rs)
     code = families.family_code(params, modulus=rs.modulus,
                                 preset=rs.preset if rs.preset != "auto" else None)
     hints = families.closed_form_bounds(params)
-    result = distance.certify(code, hints=hints, op_budget=rs.budget,
-                              prefix_cap=_prefix_cap(rs))
+    result = distance.certify(code, hints=hints, op_budget=rs.budget)
     payload = {
         "code": {"n": code.n, "k": code.k, "family": params.to_json()},
         "result": result.to_json(),
@@ -212,7 +184,6 @@ def cmd_certify(rs):
 
 
 def cmd_table(rs):
-    prefix_cap = _prefix_cap(rs)
     rows_out = []
     mismatch = False
     for row in tables.table_rows(rs.table_id):
@@ -226,8 +197,7 @@ def cmd_table(rs):
         code = families.family_code(params)
         hints = families.closed_form_bounds(params)
         res, dres = distance.certify_pair(code, hints, hints.dual_view(),
-                                          op_budget=rs.budget,
-                                          prefix_cap=prefix_cap)
+                                          op_budget=rs.budget)
         row_report = {
             "q": q, "m": m,
             "family": params.to_json(),

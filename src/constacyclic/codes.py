@@ -11,9 +11,8 @@ polynomial (a log-domain ``Poly`` in the extension field) is multiplied into
 a uint8 code array with ``mul_codes``, and h = (x^n - lambda) / g comes from
 ``divmod_codes``, with lambda the code's own shift constant.  Matrices,
 encoding and membership read those arrays; ``code.g`` and ``code.h`` are
-``Poly`` views of them for display and serialization.  Self-duality for
-prime q tests G G^T = 0 with a float64 product, exact while
-(p - 1)^2 n < 2^53.
+``Poly`` views of them for display and serialization.  Self-duality
+compares g with the dual's generator, the monic reciprocal of h, in O(n).
 """
 
 from __future__ import annotations
@@ -55,7 +54,8 @@ class DefiningSet:
 
     def complement(self):
         """Omega \\ members, still coset-closed."""
-        rest = [l for l in self.universe.gamma1 if l not in set(self.leaders)]
+        mine = set(self.leaders)
+        rest = [l for l in self.universe.gamma1 if l not in mine]
         return defining_set(self.universe, leaders=rest)
 
     def reflect(self):
@@ -238,38 +238,32 @@ class ConstacyclicCode:
             if self.k == self.n:
                 self._H = np.zeros((0, self.n), dtype=np.uint8)
             else:
-                h = self._h_codes
-                hc = self._tables.mul[self._tables.inv[h[0]], h[::-1]]
+                hc = self._dual_generator()
                 H = np.zeros((self.n - self.k, self.n), dtype=np.uint8)
                 for j in range(self.n - self.k):
                     H[j, j:j + len(hc)] = hc
                 self._H = H
         return self._H
 
+    def _dual_generator(self):
+        """Ascending GF(q) codes of the monic reciprocal of h, the
+        generator of the dual."""
+        h, tab = self._h_codes, self._tables
+        return tab.mul[tab.inv[h[0]], h[::-1]]
+
     # -- self-duality --
 
-    def _gram_is_zero(self):
-        tab = self._tables
-        if tab.s == 1:
-            return not _gram_mod_p(self.generator_matrix(), tab.p).any()
-        G = self.generator_matrix().astype(np.int64)
-        mul = tab.mul
-        for t in range(tab.s):
-            digmul = tab.dig[t][mul].astype(np.int64)  # (q, q) digit-t of products
-            for i in range(self.k):
-                row = digmul[G[i][None, :], G]          # (k, n)
-                if (row.sum(axis=1) % tab.p).any():
-                    return False
-        return True
-
     def is_self_dual(self):
-        """C == C^perp, decided by G G^T = 0 with k = n/2.
+        """C == C^perp: k = n/2, lambda = lambda^-1 and g equals the dual's
+        generator, each code's unique monic word of least degree.
 
         When lambda is self-inverse the defining-set criterion
         (Z and -Z partition the class) is computed too and must agree.
         """
-        method_b = (2 * self.k == self.n) and self._gram_is_zero()
-        if (2 * self.lambda_log) % self.tower.N == 0:
+        involutive = (2 * self.lambda_log) % self.tower.N == 0
+        method_b = (2 * self.k == self.n and involutive
+                    and np.array_equal(self._g_codes, self._dual_generator()))
+        if involutive:
             z = self.defining_set
             neg = z.reflect()
             method_a = (not (z.members & neg.members)
@@ -298,22 +292,6 @@ class ConstacyclicCode:
         kind = "negacyclic" if (self.tower.r == 2 and self.residue == 1) else \
             f"lambda={lam}-constacyclic"
         return f"ConstacyclicCode([{self.n},{self.k}] {kind} over GF({self.tower.q}))"
-
-
-def _gram_mod_p(G, p):
-    """G G^T mod p for a matrix of GF(p) codes, by a float64 BLAS product.
-
-    Every entry of the product is a sum of n terms below p^2, so it is exact
-    while (p - 1)^2 n < 2^53.
-    """
-    if (p - 1) ** 2 * G.shape[1] >= 2 ** 53:
-        raise ArithmeticError("float64 Gram product would not be exact")
-    F = G.astype(np.float64)
-    return (F @ F.T).astype(np.int64) % p
-
-
-def code_from_defining_set(tower, dset):
-    return ConstacyclicCode(tower, dset)
 
 
 def code_from_descriptor(obj):

@@ -28,15 +28,15 @@ than its budget (a pair shares one budget).  The stages, in order:
    affordable: the code itself stops early at the lower bound, the dual is
    followed by the MacWilliams transform; then a witness of weight d, from
    the code's own enumeration or a support scan at d when its predicted
-   cost fits min(remaining, 2e10);
-3. otherwise the prefix probe, which stops at the first word whose weight
-   meets the lower bound;
+   cost fits min(remaining, op_budget // 10);
+3. otherwise the prefix probe, within min(remaining, op_budget // 100),
+   which stops at the first word whose weight meets the lower bound;
 4. without a distribution, a support scan ramping up from the lower bound.
 
 A result is labeled exact only when an explicit codeword meets the proven
-lower bound.  The prefix probe's cap is the one knob: ``PREFIX_CAP`` by
-default, ``EXTENDED_PREFIX_CAP`` for ``--extended`` (``certify`` and
-``table`` alike), always drawn from the same budget.
+lower bound.  op_budget is the one knob: both stage caps are fixed shares
+of the budget a planner run is given (for the dual of ``certify_pair``,
+what the code's certificate left).
 """
 
 from __future__ import annotations
@@ -53,10 +53,6 @@ from .families import bch_search
 DEFAULT_OP_BUDGET = 200_000_000_000  # q^k * n elementary operations
 _BLOCK_BYTES = 64 << 20
 _CHUNK_ROWS = 1 << 14   # rows per kernel step, sized for the cache
-# per-stage caps; every stage is also capped by what is left of the budget
-PREFIX_CAP = 2_000_000_000
-EXTENDED_PREFIX_CAP = 100_000_000_000
-_WITNESS_CAP = 20_000_000_000
 
 
 @dataclass(frozen=True)
@@ -408,7 +404,7 @@ def low_weight_search(code, w_max, w_min=1, op_budget=DEFAULT_OP_BUDGET,
     return None, None, spent
 
 
-def prefix_subcode_probe(code, op_budget=PREFIX_CAP, stop_at=None):
+def prefix_subcode_probe(code, op_budget, stop_at=None):
     """Upper-bound probe: enumerate the span of the first t generator rows.
 
     t is the largest row count affordable within the budget.  Low-degree
@@ -515,7 +511,7 @@ class _Ledger:
         self.trace.append((method, ops, note))
 
 
-def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
+def _plan(code, hints, op_budget, settled=None):
     """Run the certification stages of the module docstring, in order.
 
     settled is a distribution certify_pair enumerated before planning;
@@ -577,7 +573,7 @@ def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
         if settled.witness is not None:
             return done(d, d, settled.witness)
         lower = d
-        if scan_cost(d) <= min(led.remaining, _WITNESS_CAP):
+        if scan_cost(d) <= min(led.remaining, op_budget // 10):
             word = scan(d)
             if word is None:
                 raise ArithmeticError(f"no codeword of certified weight {d}")
@@ -587,7 +583,7 @@ def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
     # first word that meets the lower bound
     upper, witness = n, None
     w, word, ops = prefix_subcode_probe(
-        code, op_budget=min(led.remaining, prefix_cap), stop_at=lower)
+        code, op_budget=min(led.remaining, op_budget // 100), stop_at=lower)
     if w is not None:
         if w < lower:
             raise ArithmeticError(
@@ -605,15 +601,14 @@ def _plan(code, hints, op_budget, settled=None, prefix_cap=PREFIX_CAP):
     return done(lower, upper, witness)
 
 
-def certify(code, hints=None, op_budget=DEFAULT_OP_BUDGET,
-            prefix_cap=PREFIX_CAP):
+def certify(code, hints=None, op_budget=DEFAULT_OP_BUDGET):
     """Reconcile lower bounds with explicit codewords into a certificate,
     spending at most op_budget operations (see the module docstring)."""
-    return _plan(code, hints, op_budget, prefix_cap=prefix_cap)
+    return _plan(code, hints, op_budget)
 
 
 def certify_pair(code, hints=None, dual_hints=None,
-                 op_budget=DEFAULT_OP_BUDGET, prefix_cap=PREFIX_CAP):
+                 op_budget=DEFAULT_OP_BUDGET):
     """Certify a code and its dual against one shared op_budget.
 
     A self-dual code is certified once; the dual's certificate repeats it at
@@ -622,7 +617,7 @@ def certify_pair(code, hints=None, dual_hints=None,
     """
     dual = code.dual()
     if dual.defining_set == code.defining_set:
-        res = _plan(code, hints, op_budget, prefix_cap=prefix_cap)
+        res = _plan(code, hints, op_budget)
         return res, replace(res, method_trace=(
             ("self-dual", 0, "the code is its own dual"),))
     n, k, q = code.n, code.k, code.tower.q
@@ -638,7 +633,7 @@ def certify_pair(code, hints=None, dual_hints=None,
             else (via_dual, direct)
         # one enumeration, paid for by the code's certificate
         settled = (_Settled(*first, ops), _Settled(*second, 0))
-    res = _plan(code, hints, op_budget, settled[0], prefix_cap)
+    res = _plan(code, hints, op_budget, settled[0])
     spent = sum(ops for _, ops, _ in res.method_trace)
-    dres = _plan(dual, dual_hints, op_budget - spent, settled[1], prefix_cap)
+    dres = _plan(dual, dual_hints, op_budget - spent, settled[1])
     return res, dres

@@ -310,9 +310,6 @@ class ExtensionTower:
             raise DivByZero("zero has no inverse")
         return (-a) % self.N
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if a == ZERO:
             if e > 0:

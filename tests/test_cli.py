@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from constacyclic import cli
 
 
@@ -79,16 +77,6 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
-def test_runspec_round_trip():
-    rs = cli.parse_argv(["certify", "--family", "s4", "--q", "3", "--m", "4",
-                         "--selectors", "0,2", "--preset", "paper",
-                         "--budget", "12345", "--format", "csv"])
-    blob = rs.to_json()
-    assert cli.runspec_from_json(blob) == rs
-    with pytest.raises(Exception):
-        cli.runspec_from_json({**blob, "bogus": 1})
-
-
 def test_selfdual_scan(capsys):
     code, obj = run_json(["selfdual-scan", "--m", "4"], capsys)
     assert code == 0
@@ -113,8 +101,11 @@ def test_output_formats_and_file(tmp_path, capsys):
 
 
 def test_table_small_budget_smoke(capsys):
-    # tiny budget: every heavy row degrades to reconciliation, exit stays 0
-    code, obj = run_json(["table", "--id", "1", "--budget", "2000000"], capsys)
+    # tiny budget: every heavy row degrades to reconciliation, exit stays 0,
+    # and no row's pair of certificates spends past the budget
+    budget = 2_000_000
+    code, obj = run_json(["table", "--id", "1", "--budget", str(budget)],
+                         capsys)
     assert code == 0
     rows = obj["rows"]
     assert [r["published"] for r in rows][:3] == [[4, 2, 3], [13, 6, 6],
@@ -122,6 +113,9 @@ def test_table_small_budget_smoke(capsys):
     for row in rows:
         assert row["matches_published"]
         assert row["k"] == row["published"][1]
+        spent = sum(e["ops"] for side in ("distance", "dual_distance")
+                    for e in row[side]["method_trace"])
+        assert spent <= budget, (row["published"], spent)
     small = next(r for r in rows if r["published"] == [4, 2, 3])
     assert small["distance"]["exact"] and small["distance"]["lower"] == 3
 
@@ -152,42 +146,32 @@ def test_certify_row_extended_probe_budget(capsys):
     params = F.FamilyParams(family="parity", q=3, m=4, i=1)
     code = F.family_code(params)
     hints = F.closed_form_bounds(params)
-    # budget too small to enumerate; a prefix probe raised to the whole
-    # budget closes the gap without spending past it
+    # budget too small to enumerate; the prefix probe, within a hundredth
+    # of the budget, reaches a word of the proven weight 9
     res, dres = certify_pair(code, hints, hints.dual_view(),
-                             op_budget=10 ** 8, prefix_cap=10 ** 8)
-    assert res.lower == 9 and res.upper <= 12
+                             op_budget=10 ** 8)
+    assert res.exact and res.lower == res.upper == 9
+    probe = [o for m, o, _ in res.method_trace if m == "prefix-probe"]
+    assert probe == [787_320]
     assert sum(o for c in (res, dres) for _, o, _ in c.method_trace) <= 10 ** 8
 
 
-def test_table_extended_stays_within_budget(capsys):
-    budget = 2_000_000
-    code, obj = run_json(["table", "--id", "1", "--budget", str(budget),
-                          "--extended"], capsys)
-    assert code == 0
-    for row in obj["rows"]:
-        spent = sum(e["ops"] for side in ("distance", "dual_distance")
-                    for e in row[side]["method_trace"])
-        assert spent <= budget, (row["published"], spent)
-
-
 def test_certify_extended_raises_prefix_cap(capsys):
-    # [57,36] q=7 stays open at [7,12], so neither probe stops early and the
-    # raised cap lets the --extended probe span more generator rows
-    budget = 3_000_000_000
+    # [57,36] q=7 stays open at [7,12], so the probe never stops early and
+    # a larger --budget lets it span more generator rows, within budget // 100
     argv = ["certify", "--family", "qweight", "--q", "7", "--m", "3",
-            "--ell", "2", "--budget", str(budget)]
-    probes = []
-    for extra in ([], ["--extended"]):
-        code, obj = run_json(argv + extra, capsys)
+            "--ell", "2", "--budget"]
+    for budget, probe in ((100_000_000_000, 93_883_902),
+                          (300_000_000_000, 422_477_559)):
+        code, obj = run_json(argv + [str(budget)], capsys)
         assert code == 3
         result = obj["result"]
         assert (result["lower"], result["upper"]) == (7, 12)
         trace = result["method_trace"]
-        probes.append([e["ops"] for e in trace
-                       if e["method"] == "prefix-probe"][0])
+        assert [e["ops"] for e in trace
+                if e["method"] == "prefix-probe"] == [probe]
+        assert probe <= budget // 100
         assert sum(e["ops"] for e in trace) <= budget
-    assert probes[1] > probes[0]
 
 
 def test_scripts_smoke(tmp_path):

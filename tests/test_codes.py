@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from constacyclic.codes import (ConstacyclicCode, _gram_mod_p,
-                                code_from_descriptor, defining_set)
+from constacyclic.codes import (ConstacyclicCode, code_from_descriptor,
+                                defining_set)
 from constacyclic.errors import (LengthMismatch, NotCosetClosed, ShiftMismatch)
 from constacyclic.galois import ONE, ZERO, tower_for
 from constacyclic.polyring import Poly, minimal_polynomial, xn_minus_lambda
@@ -319,8 +319,38 @@ def test_generator_bytes_pinned_at_scale():
 
 
 # ----------------------------------------------------------------------
-# Gram test in float64
+# Gram products: the reference for is_self_dual
 # ----------------------------------------------------------------------
+
+def _gram_mod_p(G, p):
+    """G G^T mod p for a matrix of GF(p) codes, by a float64 BLAS product.
+
+    Every entry of the product is a sum of n terms below p^2, so it is exact
+    while (p - 1)^2 n < 2^53.
+    """
+    if (p - 1) ** 2 * G.shape[1] >= 2 ** 53:
+        raise ArithmeticError("float64 Gram product would not be exact")
+    F = G.astype(np.float64)
+    return (F @ F.T).astype(np.int64) % p
+
+
+def _gram_is_zero(code):
+    """G G^T = 0 over GF(q); extension fields go digit by digit."""
+    tab = code.tower.subfield_tables()
+    if tab.s == 1:
+        return not _gram_mod_p(code.generator_matrix(), tab.p).any()
+    G = code.generator_matrix().astype(np.int64)
+    for t in range(tab.s):
+        digmul = tab.dig[t][tab.mul].astype(np.int64)  # digit t of products
+        for i in range(code.k):
+            if (digmul[G[i][None, :], G].sum(axis=1) % tab.p).any():
+                return False
+    return True
+
+
+def _gram_self_dual(code):
+    return 2 * code.k == code.n and _gram_is_zero(code)
+
 
 def test_float_gram_matches_int64():
     self_dual = parity_code(3, 6)
@@ -331,7 +361,7 @@ def test_float_gram_matches_int64():
         G = code.generator_matrix()
         exact = (G.astype(np.int64) @ G.astype(np.int64).T) % 3
         assert np.array_equal(_gram_mod_p(G, 3), exact)
-        assert code._gram_is_zero() is expect
+        assert _gram_is_zero(code) is expect
         assert code.is_self_dual() is expect
 
 
@@ -340,3 +370,39 @@ def test_float_gram_refuses_inexact_sizes():
     G = np.broadcast_to(np.uint8(1), (1, 2 ** 51))
     with pytest.raises(ArithmeticError):
         _gram_mod_p(G, 3)
+
+
+def test_self_duality_matches_gram_reference():
+    codes = []
+    for m in (4, 6, 8):
+        tower = tower_for(3, m, 2)
+        for sel in itertools.product(*[(j, m - 1 - j) for j in range(m // 2)]):
+            dset = F.subcode_defining_set("s4", 3, m, selectors=sel)
+            codes.append(ConstacyclicCode(tower, dset))
+    assert len(codes) == 28
+    for q in (3, 4, 5, 7, 9):
+        for m in (2, 3):
+            base = [qweight_code(q, m, ell) for ell in range(m)]
+            if q % 2:
+                base += [parity_code(q, m, i) for i in (0, 1)]
+            for c in base:
+                codes += [c, c.dual(), c.complement(), c.reverse()]
+    # every defining set of size n/2 at small lengths (lambda = -1 and
+    # lambda of order 3, 4, 6), and over GF(9) the [40,20] negacyclic codes
+    # that take one coset of each pair {Z_l, -Z_l}, which are self-dual
+    for q, m, r in ((3, 2, 2), (5, 2, 2), (7, 2, 3), (7, 2, 6), (9, 2, 4)):
+        uni = index_universe(q, r, q ** m - 1)
+        size = {l: len(uni.coset(l)) for l in uni.gamma1}
+        for j in range(len(size) + 1):
+            for leaders in itertools.combinations(size, j):
+                if 2 * sum(size[l] for l in leaders) == uni.n:
+                    codes.append(make_code(q, m, r, leaders))
+    uni = index_universe(9, 2, 80)
+    pairs = sorted({tuple(sorted((l, uni.leader_of(80 - l))))
+                    for l in uni.gamma1})
+    for side in (0, 1):
+        codes.append(make_code(9, 2, 2, [pair[side] for pair in pairs]))
+    verdicts = [c.is_self_dual() for c in codes]
+    assert verdicts == [_gram_self_dual(c) for c in codes]
+    assert all(verdicts[:28]) and all(verdicts[-2:])
+    assert any(verdicts[28:-2]) and not all(verdicts[28:-2])

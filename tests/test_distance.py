@@ -246,16 +246,34 @@ def test_certify_pair_self_dual_certified_once():
     assert _spent(dres) == 0
 
 
+def _within_shares(result, budget):
+    # the prefix probe gets a hundredth of the budget, the support scan for
+    # the witness of a settled distribution a tenth
+    prev = None
+    for method, ops, _ in result.method_trace:
+        if method == "prefix-probe":
+            assert ops <= budget // 100, (method, ops)
+        if method == "support-scan" and prev == "dual-enumeration":
+            assert ops <= budget // 10, (method, ops)
+        prev = method
+
+
 @pytest.mark.parametrize("budget", [0, 10 ** 4, 10 ** 6, 10 ** 8])
 def test_certify_never_overspends(budget):
+    # [21,18] q=4 settles its distance by its dual's distribution, so its
+    # witness comes from a support scan once a tenth of the budget affords it
     for params in [F.FamilyParams(family="parity", q=3, m=4, i=1),
                    F.FamilyParams(family="qweight", q=4, m=3, ell=1),
-                   F.FamilyParams(family="qweight", q=5, m=3, ell=1)]:
+                   F.FamilyParams(family="qweight", q=5, m=3, ell=1),
+                   F.FamilyParams(family="qweight", q=4, m=3, ell=0)]:
         code = F.family_code(params)
         hints = F.closed_form_bounds(params)
-        assert _spent(certify(code, hints, op_budget=budget)) <= budget
+        res = certify(code, hints, op_budget=budget)
+        assert _spent(res) <= budget
         pair = certify_pair(code, hints, hints.dual_view(), op_budget=budget)
         assert _spent(*pair) <= budget
+        for r in (res, *pair):
+            _within_shares(r, budget)
 
 
 @pytest.mark.parametrize("params, interval, dual_interval", [
