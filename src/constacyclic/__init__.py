@@ -11,9 +11,8 @@ from .families import (BchWitness, ClosedFormReport, FamilyParams, bch_search,
                        qweight_defining_set, subcode_defining_set)
 from .galois import (ONE, ZERO, ExtensionTower, FieldSpec, build_tower,
                      tower_for)
-from .polyring import Poly, factor_xn_minus_lambda, minimal_polynomial, \
-    reciprocal, xn_minus_lambda
-from .qadic import (CyclotomicCoset, DigitProfile, IndexUniverse,
-                    cyclotomic_coset, digit_profile, index_universe)
+from .polyring import Poly, minimal_polynomial, reciprocal, xn_minus_lambda
+from .qadic import (CyclotomicCoset, IndexUniverse, cyclotomic_coset,
+                    index_universe)
 
 __version__ = "0.1.0"

@@ -1,6 +1,9 @@
 """Command-line front end.
 
-Subcommands: field, cosets, construct, certify, table, selfdual-scan.
+Subcommands: field, cosets, construct, certify, table, selfdual-scan.  Each
+takes only the flags it reads: every subcommand takes --format and --out;
+field, construct, certify and selfdual-scan take --preset and --modulus;
+certify and table take --budget.
 Exit codes: 0 ok, 2 bad parameters, 3 budget exhausted, 4 table mismatch.
 Output is deterministic: JSON with sorted keys and ascending set orderings.
 """
@@ -10,11 +13,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import distance, families, tables
+from .codes import ConstacyclicCode
 from .errors import BadParams, NotPrimitive
 from .galois import prime_power, tower_for
 from .qadic import index_universe
@@ -51,40 +57,56 @@ def _int_list(text):
     return tuple(int(x) for x in text.split(","))
 
 
+def _count(text):
+    """A non-negative integer, also written as an exact decimal like 3e11."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if value < 0 or value.denominator != 1:
+        raise argparse.ArgumentTypeError(
+            f"need a non-negative integer, got {text!r}")
+    return int(value)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="constacyclic",
         description="Construct constacyclic codes and certify their "
                     "minimum distances.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--preset", choices=("paper", "auto"), default="auto",
-                        help="paper: use the published worked-example moduli")
-    common.add_argument("--modulus", type=_int_list, default=None,
-                        help="comma-separated coefficients, constant first")
-    common.add_argument("--budget", type=int,
-                        default=distance.DEFAULT_OP_BUDGET,
-                        help="operation-count cap for distance work")
-    common.add_argument("--format", choices=("json", "csv", "text"),
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
-    common.add_argument("--out", default=None, help="write output to a file")
+    output.add_argument("--out", default=None, help="write output to a file")
+    tower = argparse.ArgumentParser(add_help=False)
+    tower.add_argument("--preset", choices=("paper", "auto"), default="auto",
+                       help="paper: use the published worked-example moduli")
+    tower.add_argument("--modulus", type=_int_list, default=None,
+                       help="comma-separated coefficients, constant first")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_count,
+                        default=distance.DEFAULT_OP_BUDGET,
+                        help="operation-count cap for distance work, "
+                             "a non-negative integer such as 3e11")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("field", parents=[common],
+    p = sub.add_parser("field", parents=[output, tower],
                        help="build a tower and print its descriptor")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
-    p = sub.add_parser("cosets", parents=[common],
+    p = sub.add_parser("cosets", parents=[output],
                        help="print the coset split of a residue class")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--residue", type=int, default=1)
 
-    for name in ("construct", "certify"):
-        p = sub.add_parser(name, parents=[common])
+    for name, parents in (("construct", [output, tower]),
+                          ("certify", [output, tower, budget])):
+        p = sub.add_parser(name, parents=parents)
         p.add_argument("--family", choices=families.FAMILIES, required=True)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--m", type=int, required=True)
@@ -92,16 +114,16 @@ def build_parser():
         p.add_argument("--i", type=int, default=None)
         p.add_argument("--selectors", type=_int_list, default=None)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[output, budget],
                        help="reproduce a published parameter table")
     p.add_argument("--id", dest="table_id", type=int, choices=(1, 2),
                    required=True)
 
-    p = sub.add_parser("selfdual-scan", parents=[common],
-                       help="check self-duality across selector vectors")
-    p.add_argument("--q", type=int, default=3)
+    p = sub.add_parser("selfdual-scan", parents=[output, tower],
+                       help="check self-duality of the ternary family "
+                            "across selector vectors")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--sample", type=int, default=None,
+    p.add_argument("--sample", type=_count, default=None,
                    help="check at most this many selector vectors")
     return parser
 
@@ -142,7 +164,7 @@ def cmd_field(rs):
 
 
 def cmd_cosets(rs):
-    p, s = prime_power(rs.q)
+    prime_power(rs.q)
     N = rs.q ** rs.m - 1
     if (rs.q - 1) % rs.r:
         raise BadParams(f"r = {rs.r} must divide q - 1")
@@ -228,21 +250,16 @@ def cmd_table(rs):
 
 
 def cmd_selfdual_scan(rs):
-    if rs.q != 3:
-        raise BadParams("selfdual-scan covers the ternary family")
     m = rs.m
     if m < 4 or m % 2:
         raise BadParams("selfdual-scan needs even m >= 4")
-    import itertools as it
-
-    vectors = list(it.product(*[(idx, m - 1 - idx) for idx in range(m // 2)]))
+    vectors = list(itertools.product(*[(idx, m - 1 - idx)
+                                       for idx in range(m // 2)]))
     if rs.sample is not None:
         vectors = vectors[:rs.sample]
     preset = rs.preset if rs.preset != "auto" else None
     tower = tower_for(3, m, 2, modulus=rs.modulus, preset=preset)
     out = []
-    from .codes import ConstacyclicCode
-
     for sel in vectors:
         dset = families.subcode_defining_set("s4", 3, m, selectors=sel)
         code = ConstacyclicCode(tower, dset)

@@ -71,25 +71,6 @@ class WeightEnumerator:
             raise BadParams("zero code has no minimum distance")
         return min(pos)
 
-    def total(self):
-        return sum(self.counts.values())
-
-    def to_json(self):
-        return {"counts": {str(w): int(c)
-                           for w, c in sorted(self.counts.items()) if c}}
-
-    def polynomial_string(self, var="z"):
-        terms = []
-        for w, c in sorted(self.counts.items()):
-            if not c:
-                continue
-            if w == 0:
-                terms.append(str(c))
-            else:
-                coeff = "" if c == 1 else str(c)
-                terms.append(f"{coeff}{var}^{w}" if w > 1 else f"{coeff}{var}")
-        return " + ".join(terms) if terms else "0"
-
 
 @dataclass(frozen=True)
 class DistanceResult:
@@ -317,7 +298,7 @@ def exhaustive_enumerator(code, op_budget=DEFAULT_OP_BUDGET):
     return WeightEnumerator(n=code.n, q=code.tower.q, k=code.k, counts=counts)
 
 
-def _scalar_patterns(q, w, tables):
+def _scalar_patterns(q, w):
     """All (s_1..s_w) with s_1 = 1, s_j nonzero, as a (P, w) uint8 array."""
     pats = list(itertools.product(range(1, q), repeat=w - 1))
     arr = np.ones((len(pats), w), dtype=np.uint8)
@@ -383,7 +364,7 @@ def low_weight_search(code, w_max, w_min=1, op_budget=DEFAULT_OP_BUDGET,
     tables = code.tower.subfield_tables()
     spent = 0
     for w in range(max(w_min, 1), w_max + 1):
-        patterns = _scalar_patterns(q, w, tables)
+        patterns = _scalar_patterns(q, w)
         combos = itertools.combinations(range(n), w)
         while True:
             batch = np.array(list(itertools.islice(combos, chunk)),

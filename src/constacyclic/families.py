@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import ConstacyclicCode, defining_set
-from .errors import BadParams, NoProgression, OutOfRange
+from .errors import BadParams, NoProgression
 from .galois import prime_power, tower_for
 from .qadic import (cyclotomic_coset, digit_weight, index_universe, qweight,
                     valuation)
@@ -112,17 +112,6 @@ class FamilyParams:
         return out
 
 
-def family_params_from_json(obj):
-    known = {"family", "q", "m", "ell", "i", "selectors"}
-    unknown = set(obj) - known
-    if unknown:
-        raise BadParams(f"unknown family descriptor fields: {sorted(unknown)}")
-    sel = obj.get("selectors")
-    return FamilyParams(family=obj["family"], q=obj["q"], m=obj["m"],
-                        ell=obj.get("ell"), i=obj.get("i"),
-                        selectors=tuple(sel) if sel is not None else None)
-
-
 # ----------------------------------------------------------------------
 # defining sets
 # ----------------------------------------------------------------------
@@ -158,21 +147,6 @@ def parity_family_size(q, m, i):
     if i == 1:
         return (q ** m - (2 - q) ** m) // 4
     return (q ** m + (2 - q) ** m - 2) // 4
-
-
-def ternary_mirror_check(m):
-    """Self-test of the q=3 mirror symmetry between T_(0,n) and T_(1,n).
-
-    Even m: i -> 3^m-1-i swaps the halves; odd m: it fixes each half.
-    """
-    q = 3
-    N = q ** m - 1
-    t0 = _parity_members(q, m, 0)
-    t1 = _parity_members(q, m, 1)
-    mirror0 = {N - i for i in t0}
-    if m % 2 == 0:
-        return mirror0 == t1
-    return mirror0 == t0
 
 
 def qweight_defining_set(q, m, ell):
@@ -468,59 +442,6 @@ def s2_witnesses(q, m):
                         a=N - (q ** ((m + 1) // 2) - 1), h=0,
                         delta=(q - 1) * q ** ((m - 3) // 2) + 1, N=N)
     return primal, dual
-
-
-def middle_progression_qweight(q, m, i):
-    """Piecewise value of wt_q(q^(m-1) + (q^((m-1)/2) - 1) * i), odd m >= 5."""
-    if m < 5 or m % 2 == 0:
-        raise BadParams("needs odd m >= 5")
-    M = q ** ((m - 1) // 2)
-    if not -(M - 1) <= i <= 2 * M:
-        raise OutOfRange(f"i = {i} outside [-(M-1), 2M]")
-    half = (m - 1) // 2
-    if i == 0:
-        return 1
-    if 1 <= i <= M:
-        return 1 + (q - 1) * half
-    if i == M + 1:
-        return 1 + (q - 1) * (m - 1)
-    if i >= M + 2:
-        return 1 + (q - 1) * (half + valuation(i - M - 1, q))
-    return 1 + (q - 1) * (half - valuation(-i, q))
-
-
-# ----------------------------------------------------------------------
-# literal bound tables (used for cross-checks)
-# ----------------------------------------------------------------------
-
-def qweight_distance_bound(q, m, ell):
-    """The stated primal lower bound for the q-weight family, or None when
-    the hypotheses cover no case (m = 2)."""
-    if m % 2:
-        if ell <= (m - 3) // 2:
-            return 2 * q ** ell + 1
-        if ell == (m - 1) // 2:
-            return q ** ((m - 1) // 2) + 1
-        return (q - 1) * q ** (m - 1 - ell) + 1
-    if m % 4 == 0:
-        if ell <= (m - 4) // 2:
-            return 2 * q ** ell + 1
-        if ell in ((m - 2) // 2, m // 2):
-            return q ** ((m - 2) // 2) + 1
-        return (q - 1) * q ** (m - 1 - ell) + 1
-    if m == 2:
-        return None
-    if ell <= (m - 6) // 2:
-        return 2 * q ** ell + 1
-    if ell <= (m + 2) // 2:
-        return q ** ((m - 4) // 2) + 1
-    return (q - 1) * q ** (m - 1 - ell) + 1
-
-
-def qweight_dual_distance_bound(q, m, ell):
-    if m < 3:
-        return None
-    return q ** (m - 1 - ell) + 2 * (q ** ell - 1) // (q - 1)
 
 
 # ----------------------------------------------------------------------

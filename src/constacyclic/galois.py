@@ -15,7 +15,6 @@ w = beta**(N // (q-1)).  For prime q a code is just the residue mod p.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -194,9 +193,6 @@ class SmallField:
     def add(self, a, b):
         return self.add_t[a][b]
 
-    def sub(self, a, b):
-        return self.add_t[a][self.neg_t[b]]
-
     def mul(self, a, b):
         return self.mul_t[a][b]
 
@@ -318,14 +314,6 @@ class ExtensionTower:
                 return ONE
             raise DivByZero("negative power of zero")
         return (a * e) % self.N
-
-    def frobenius(self, a):
-        return self.pow(a, self.q)
-
-    def order(self, a):
-        if a == ZERO:
-            raise DivByZero("zero has no multiplicative order")
-        return self.N // math.gcd(a % self.N, self.N)
 
     # -- subfield coding --
 

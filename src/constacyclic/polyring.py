@@ -1,26 +1,25 @@
-"""Univariate polynomials over a tower, minimal polynomials, and the
-factorization of x^n - lambda by cyclotomic cosets.
+"""Univariate polynomials over a tower, x^n - lambda and minimal
+polynomials of cyclotomic cosets.
 
 Coefficients are stored in the tower's log representation (ascending powers,
 no trailing zeros).  Polynomials whose coefficients lie in GF(q) round-trip
 through integer code lists; the pretty printer emits the descending-power
 string form, e.g. "x^8 + 2x^7 + x^5 + x^3 + 2x + 1".
 
-``Poly`` arithmetic loops over coefficients in Python and is kept for work in
-the extension field (minimal polynomials, gcd, irreducibility).  GF(q)
-polynomials of code length use ``mul_codes`` and ``divmod_codes`` instead:
-ascending uint8 code arrays and the tower's ``SubfieldTables``, one vector
-update per coefficient.
+``Poly`` arithmetic loops over coefficients in Python.  It is kept for work
+in the extension field (minimal polynomials) and as the reference the tests
+check the fast paths against.  GF(q) polynomials of code length use
+``mul_codes`` and ``divmod_codes`` instead: ascending uint8 code arrays and
+the tower's ``SubfieldTables``, one vector update per coefficient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (BadParams, CoefficientLeak, DivByZero, ShiftMismatch,
+from .errors import (CoefficientLeak, DivByZero, ShiftMismatch,
                      ZeroConstantTerm)
 from .galois import ONE, ZERO
-from .qadic import cyclotomic_coset
 
 
 class Poly:
@@ -45,10 +44,6 @@ class Poly:
     @classmethod
     def one(cls, tower):
         return cls(tower, (ONE,))
-
-    @classmethod
-    def x(cls, tower):
-        return cls(tower, (ZERO, ONE))
 
     @classmethod
     def from_codes(cls, tower, codes):
@@ -122,12 +117,6 @@ class Poly:
             return Poly.zero(t)
         return Poly(t, (t.mul(x, c) for x in self.coeffs))
 
-    def shift(self, k):
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.tower, (ZERO,) * k + self.coeffs)
-
     def divmod(self, divisor):
         self._check_same(divisor)
         if divisor.is_zero():
@@ -155,14 +144,6 @@ class Poly:
         if self.is_zero() or self.is_monic():
             return self
         return self.scale(self.tower.inv(self.lc()))
-
-    def gcd(self, other):
-        """Monic greatest common divisor by the Euclidean algorithm."""
-        self._check_same(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
 
     def eval(self, point):
         """Horner evaluation at a tower element (log representation)."""
@@ -223,12 +204,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.pretty()})"
-
-
-def poly_from_json(tower, obj):
-    if obj.get("field") != tower.q:
-        raise BadParams(f"polynomial field {obj.get('field')} != GF({tower.q})")
-    return Poly.from_codes(tower, obj["coeffs"])
 
 
 def _trim(codes):
@@ -305,64 +280,6 @@ def minimal_polynomial(coset, tower):
                 f"minimal polynomial of beta^{coset.leader} left GF({t.q}); "
                 "tower tables are inconsistent")
     return f
-
-
-def factor_xn_minus_lambda(tower):
-    """keys: the Gamma^(1) leaders; values: their minimal polynomials.
-
-    The product of the values reconstructs x^n - lambda exactly.
-    """
-    from .qadic import index_universe
-
-    uni = index_universe(tower.q, tower.r, tower.N, 1)
-    return {leader: minimal_polynomial(cyclotomic_coset(leader, tower.q, tower.N),
-                                       tower)
-            for leader in uni.gamma1}
-
-
-def _pow_x_q(f, b, q):
-    """b(x)^q mod f by square-and-multiply."""
-    t = f.tower
-    result = Poly.one(t)
-    base = b
-    e = q
-    while e:
-        if e & 1:
-            result = (result * base) % f
-        base = (base * base) % f
-        e >>= 1
-    return result
-
-
-def is_irreducible(f):
-    """Probe irreducibility over GF(q) with x^(q^j) - x gcd tests.
-
-    Debug and test helper; production code relies on the coset construction.
-    """
-    if f.is_zero():
-        return False
-    d = f.degree
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    t = f.tower
-    q = t.q
-    x = Poly.x(t)
-    b = x % f
-    for _ in range(d):
-        b = _pow_x_q(f, b, q)
-    if b != x % f:
-        return False
-    from .galois import factorize
-
-    for pdiv in factorize(d):
-        b = x % f
-        for _ in range(d // pdiv):
-            b = _pow_x_q(f, b, q)
-        if f.gcd(b - (x % f)).degree != 0:
-            return False
-    return True
 
 
 def reciprocal(f):

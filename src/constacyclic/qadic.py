@@ -7,7 +7,6 @@ universe splitting {c + r*i} into cosets of its leaders.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -16,47 +15,9 @@ import numpy as np
 from .errors import OutOfRange
 
 __all__ = [
-    "DigitProfile", "digit_profile", "qweight", "digit_weight", "valuation",
-    "valuation_identity_check", "CyclotomicCoset", "cyclotomic_coset",
-    "IndexUniverse", "index_universe", "weight_constancy_check",
-    "gcd_power_check",
+    "qweight", "digit_weight", "valuation", "CyclotomicCoset",
+    "cyclotomic_coset", "IndexUniverse", "index_universe",
 ]
-
-
-@dataclass(frozen=True)
-class DigitProfile:
-    """Digits of i base q (m of them, low first) and derived weights."""
-
-    i: int
-    q: int
-    m: int
-    digits: tuple
-    wt_q: int        # digit sum
-    wt: int          # count of nonzero digits
-    zs: tuple        # zs[eps] = count of digits equal to eps
-
-    @property
-    def v_q(self):
-        """Largest j with q^j | i; undefined (an error) for i = 0."""
-        if self.i == 0:
-            raise OutOfRange("v_q(0) is undefined")
-        return valuation(self.i, self.q)
-
-
-def digit_profile(i, q, m):
-    if not 0 <= i <= q ** m - 1:
-        raise OutOfRange(f"i = {i} outside [0, q^m - 1]")
-    digits = []
-    x = i
-    for _ in range(m):
-        digits.append(x % q)
-        x //= q
-    digits = tuple(digits)
-    zs = [0] * q
-    for d in digits:
-        zs[d] += 1
-    return DigitProfile(i=i, q=q, m=m, digits=digits, wt_q=sum(digits),
-                        wt=m - zs[0], zs=tuple(zs))
 
 
 def qweight(i, q):
@@ -89,13 +50,6 @@ def valuation(i, q):
     return j
 
 
-def valuation_identity_check(i, q, m):
-    """Self-test: wt_q(i-1) == wt_q(i) - 1 + (q-1)*v_q(i)."""
-    if not 1 <= i <= q ** m - 2:
-        raise OutOfRange(f"i = {i} outside [1, q^m - 2]")
-    return qweight(i - 1, q) == qweight(i, q) - 1 + (q - 1) * valuation(i, q)
-
-
 @dataclass(frozen=True)
 class CyclotomicCoset:
     """Orbit of i under multiplication by q mod N, in orbit order."""
@@ -123,8 +77,8 @@ def cyclotomic_coset(i, q, N):
 class IndexUniverse:
     """The residue class {c + r*i mod N} split into q-cyclotomic cosets.
 
-    gamma lists every coset leader mod N; gamma1 those lying in this residue
-    class; omega1 is the class itself.  Instances are cached singletons, so
+    gamma1 lists the coset leaders lying in this residue class, in ascending
+    order; omega1 is the class itself.  Instances are cached singletons, so
     identity comparison is the intended equality.
     """
 
@@ -133,7 +87,6 @@ class IndexUniverse:
     N: int
     residue: int
     n: int
-    gamma: tuple
     gamma1: tuple
     omega1: tuple
     cosets: dict = field(repr=False)        # leader -> members, this class only
@@ -163,7 +116,6 @@ def index_universe(q, r, N, residue=1):
 @lru_cache(maxsize=128)
 def _index_universe(q, r, N, residue):
     n = N // r
-    gamma = []
     gamma1 = []
     cosets = {}
     leader_arr = np.full(n, -1, dtype=np.int64)
@@ -179,7 +131,6 @@ def _index_universe(q, r, N, residue):
             seen[x] = 1
             x = (x * q) % N
         leader = min(members)
-        gamma.append(leader)
         if leader % r == residue:
             # re-walk from the leader so members come in orbit order
             ordered = [leader]
@@ -193,17 +144,5 @@ def _index_universe(q, r, N, residue):
                 leader_arr[(x - residue) // r] = leader
     omega1 = tuple((residue + r * i) % N for i in range(n))
     return IndexUniverse(q=q, r=r, N=N, residue=residue, n=n,
-                         gamma=tuple(sorted(gamma)), gamma1=tuple(sorted(gamma1)),
-                         omega1=omega1, cosets=cosets, leader_arr=leader_arr)
-
-
-def weight_constancy_check(coset, q, m):
-    """Self-test: wt_q and wt are constant across a coset mod q^m - 1."""
-    profiles = [digit_profile(x, q, m) for x in coset.members]
-    return (len({p.wt_q for p in profiles}) == 1
-            and len({p.wt for p in profiles}) == 1)
-
-
-def gcd_power_check(h, m, q):
-    """gcd(q^h + 1, q^m - 1); equals 2 whenever m/gcd(h,m) is odd and q is odd."""
-    return math.gcd(q ** h + 1, q ** m - 1)
+                         gamma1=tuple(sorted(gamma1)), omega1=omega1,
+                         cosets=cosets, leader_arr=leader_arr)

@@ -22,6 +22,9 @@ from constacyclic.polyring import Poly, xn_minus_lambda
 from constacyclic.qadic import index_universe, qweight
 
 from conftest import extended
+from test_families import (middle_progression_qweight, qweight_distance_bound,
+                           qweight_dual_distance_bound)
+from test_polyring import factor_xn_minus_lambda
 
 
 def _report(num, ok, detail=""):
@@ -250,15 +253,15 @@ def test_criterion_6_witness_suite():
             N = q ** m - 1
             for i in range(-(M - 1), 2 * M + 1):
                 if qweight((q ** (m - 1) + (M - 1) * i) % N, q) != \
-                        F.middle_progression_qweight(q, m, i):
+                        middle_progression_qweight(q, m, i):
                     problems.append(f"digit formula {q},{m},{i}")
                     break
 
     # exact distances, where cheap, dominate every stated bound
     for q, m in [(3, 3), (3, 4), (5, 2), (5, 3)]:
         for ell in range(m):
-            bound = F.qweight_distance_bound(q, m, ell)
-            dual_bound = F.qweight_dual_distance_bound(q, m, ell)
+            bound = qweight_distance_bound(q, m, ell)
+            dual_bound = qweight_dual_distance_bound(q, m, ell)
             code = F.family_code(qweight_params(q, m, ell))
             if q ** min(code.k, code.n - code.k) * code.n <= 5_000_000 \
                     and 0 < code.k < code.n:
@@ -284,8 +287,6 @@ TOWER_GRID = [(3, 2, 2), (3, 3, 2), (3, 4, 2), (5, 2, 4), (5, 2, 2),
 def test_criterion_7_structural_suite():
     t0 = time.time()
     # factorization reconstruction and the class partition, exhaustively
-    from constacyclic.polyring import factor_xn_minus_lambda
-
     for q, m, r in TOWER_GRID:
         t = tower_for(q, m, r)
         factors = factor_xn_minus_lambda(t)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from constacyclic import cli
 
 
@@ -203,3 +205,35 @@ def test_non_primitive_modulus_exits_2(capsys):
                      "--modulus", "1,0,1"])
     assert code == 2
     assert "order" in capsys.readouterr().err
+
+
+def test_budget_accepts_exact_scientific_form(capsys):
+    argv = ["certify", "--family", "parity", "--q", "3", "--m", "3",
+            "--i", "1", "--budget"]
+    code, plain = run(argv + ["200000000000"], capsys)
+    assert code == 0
+    assert run(argv + ["2e11"], capsys) == (code, plain)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--family", "parity", "--q", "3", "--m", "3", "--i", "1",
+     "--budget", "-5"],
+    ["certify", "--family", "parity", "--q", "3", "--m", "3", "--i", "1",
+     "--budget", "1.5"],
+    ["selfdual-scan", "--m", "4", "--sample", "-1"],
+])
+def test_negative_or_fractional_counts_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cosets", "--q", "3", "--m", "2", "--r", "2", "--modulus", "2,2,1"],
+    ["table", "--id", "1", "--preset", "paper"],
+    ["construct", "--family", "parity", "--q", "3", "--m", "3", "--i", "1",
+     "--budget", "5"],
+    ["selfdual-scan", "--m", "4", "--q", "3"],
+])
+def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -33,7 +33,6 @@ def naive_distribution(code):
 def test_enumerator_mds_example():
     we = exhaustive_enumerator(parity_code(3, 2, preset="paper"))
     assert we.counts == {0: 1, 3: 8}
-    assert we.polynomial_string() == "1 + 8z^3"
     assert we.min_distance() == 3
 
 
@@ -61,7 +60,7 @@ def test_enumerator_matches_naive(code_fn):
     assert code.tower.q ** code.k <= 10_000
     we = exhaustive_enumerator(code)
     assert we.counts == naive_distribution(code)
-    assert we.total() == code.tower.q ** code.k
+    assert sum(we.counts.values()) == code.tower.q ** code.k
 
 
 def test_enumerator_scalar_divisibility():

@@ -8,14 +8,64 @@ from hypothesis import strategies as st
 from constacyclic import families as F
 from constacyclic.codes import defining_set
 from constacyclic.errors import BadParams, NoProgression
-from constacyclic.qadic import (cyclotomic_coset, digit_profile, qweight,
-                                index_universe)
+from constacyclic.qadic import (cyclotomic_coset, qweight, index_universe,
+                                valuation)
 
 
 def parity_members_oracle(q, m, i):
     N = q ** m - 1
     return {h for h in range(1, N, 2)
-            if digit_profile(h, q, m).wt % 2 == i}
+            if sum(1 for j in range(m) if (h // q ** j) % q) % 2 == i}
+
+
+# ----------------------------------------------------------------------
+# the paper's stated bounds and digit formula, as literal references
+# ----------------------------------------------------------------------
+
+def qweight_distance_bound(q, m, ell):
+    """The stated primal lower bound for the q-weight family, or None when
+    the hypotheses cover no case (m = 2)."""
+    if m % 2:
+        if ell <= (m - 3) // 2:
+            return 2 * q ** ell + 1
+        if ell == (m - 1) // 2:
+            return q ** ((m - 1) // 2) + 1
+        return (q - 1) * q ** (m - 1 - ell) + 1
+    if m % 4 == 0:
+        if ell <= (m - 4) // 2:
+            return 2 * q ** ell + 1
+        if ell in ((m - 2) // 2, m // 2):
+            return q ** ((m - 2) // 2) + 1
+        return (q - 1) * q ** (m - 1 - ell) + 1
+    if m == 2:
+        return None
+    if ell <= (m - 6) // 2:
+        return 2 * q ** ell + 1
+    if ell <= (m + 2) // 2:
+        return q ** ((m - 4) // 2) + 1
+    return (q - 1) * q ** (m - 1 - ell) + 1
+
+
+def qweight_dual_distance_bound(q, m, ell):
+    if m < 3:
+        return None
+    return q ** (m - 1 - ell) + 2 * (q ** ell - 1) // (q - 1)
+
+
+def middle_progression_qweight(q, m, i):
+    """Piecewise value of wt_q(q^(m-1) + (q^((m-1)/2) - 1) * i), odd m >= 5
+    and -(M-1) <= i <= 2M with M = q^((m-1)/2)."""
+    M = q ** ((m - 1) // 2)
+    half = (m - 1) // 2
+    if i == 0:
+        return 1
+    if 1 <= i <= M:
+        return 1 + (q - 1) * half
+    if i == M + 1:
+        return 1 + (q - 1) * (m - 1)
+    if i >= M + 2:
+        return 1 + (q - 1) * (half + valuation(i - M - 1, q))
+    return 1 + (q - 1) * (half - valuation(-i, q))
 
 
 def qweight_members_oracle(q, m, ell):
@@ -49,8 +99,12 @@ def test_parity_size_examples():
 
 
 def test_ternary_mirror():
+    # i -> 3^m-1-i swaps T_(0,n) and T_(1,n) for even m, fixes each for odd m
     for m in (2, 3, 4, 5, 6):
-        assert F.ternary_mirror_check(m)
+        N = 3 ** m - 1
+        t0 = F.parity_defining_set(3, m, 0).members
+        t1 = F.parity_defining_set(3, m, 1).members
+        assert {N - i for i in t0} == (t1 if m % 2 == 0 else t0)
 
 
 def test_qweight_sets_and_sizes():
@@ -133,10 +187,7 @@ def test_family_params_validation_and_json():
     with pytest.raises(BadParams):
         F.FamilyParams(family="parity", q=3, m=3)   # missing i
     p = F.FamilyParams(family="s4", q=3, m=4, selectors=(0, 2))
-    assert F.family_params_from_json(p.to_json()) == p
-    with pytest.raises(BadParams):
-        F.family_params_from_json({"family": "parity", "q": 3, "m": 3,
-                                   "i": 1, "bogus": 1})
+    assert p.to_json() == {"family": "s4", "q": 3, "m": 4, "selectors": [0, 2]}
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +250,7 @@ def test_qweight_progressions_all_ell(q, m):
         for w in wits:
             assert_valid(w, T, q, m, q - 1)
         best = max(w.delta for w in wits)
-        assert best == F.qweight_distance_bound(q, m, ell)
+        assert best == qweight_distance_bound(q, m, ell)
 
 
 @pytest.mark.parametrize("q,m", [(3, 3), (3, 4), (3, 5), (3, 8), (5, 3), (4, 3)])
@@ -210,7 +261,7 @@ def test_qweight_complement_progressions(q, m):
         comp = set(uni.omega1) - T
         w = F.qweight_complement_progression(q, m, ell)
         assert_valid(w, comp, q, m, q - 1)
-        assert w.delta == F.qweight_dual_distance_bound(q, m, ell)
+        assert w.delta == qweight_dual_distance_bound(q, m, ell)
 
 
 def test_s1_s2_witnesses():
@@ -234,7 +285,7 @@ def test_middle_progression_qweight_formula(q, m):
     N = q ** m - 1
     for i in range(-(M - 1), 2 * M + 1):
         value = qweight((q ** (m - 1) + (M - 1) * i) % N, q)
-        assert value == F.middle_progression_qweight(q, m, i), (q, m, i)
+        assert value == middle_progression_qweight(q, m, i), (q, m, i)
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +389,7 @@ def test_bch_search_complement_variant():
     uni = ds.universe
     comp = set(uni.omega1) - ds.members
     assert F.check_witness(w, comp, 26, 2, 13)
-    assert w.delta >= F.qweight_dual_distance_bound(3, 3, 1)
+    assert w.delta >= qweight_dual_distance_bound(3, 3, 1)
 
 
 def test_bch_search_full_class():
@@ -364,7 +415,7 @@ def test_bch_beats_or_meets_stated_bounds():
     for q, m, ell in [(3, 3, 0), (3, 3, 1), (3, 4, 1), (4, 3, 1), (5, 3, 1)]:
         ds = F.qweight_defining_set(q, m, ell)
         w = F.bch_search(ds)
-        assert w.delta >= F.qweight_distance_bound(q, m, ell)
+        assert w.delta >= qweight_distance_bound(q, m, ell)
 
 
 def test_bch_search_on_dual_universe():

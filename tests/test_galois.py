@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -49,12 +50,12 @@ def test_paper_preset_towers():
 
     t = tower_for(5, 3, 4, preset="paper")
     assert t.modulus == (3, 3, 0, 1)
-    assert t.lambda_code == 2 and t.order(t.lambda_log) == 4
+    assert t.lambda_code == 2 and t.N // math.gcd(t.lambda_log, t.N) == 4
 
     t = tower_for(4, 4, 3, preset="paper")
     assert t.modulus == (2, 2, 2, 1, 1) and t.modulus_field == "q"
     assert t.lambda_code == 2  # the GF(4) generator w
-    assert t.order(t.lambda_log) == 3
+    assert t.N // math.gcd(t.lambda_log, t.N) == 3
 
 
 def test_non_primitive_modulus_rejected():
@@ -144,7 +145,7 @@ def test_frobenius_fixes_exactly_the_subfield():
     for q, m, r in [(3, 2, 2), (3, 4, 2), (9, 2, 2), (4, 3, 3), (5, 3, 4)]:
         t = tower_for(q, m, r)
         for a in all_elements(t):
-            assert (t.frobenius(a) == a) == t.in_subfield(a)
+            assert (t.pow(a, t.q) == a) == t.in_subfield(a)
 
 
 def test_in_subfield_examples():

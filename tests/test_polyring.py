@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from constacyclic.errors import (CoefficientLeak, DivByZero, ShiftMismatch,
                                  ZeroConstantTerm)
-from constacyclic.galois import ZERO, SubfieldTables, tower_for
-from constacyclic.polyring import (Poly, divmod_codes, factor_xn_minus_lambda,
-                                   is_irreducible, minimal_polynomial,
-                                   mul_codes, poly_from_json, xn_minus_lambda)
+from constacyclic.galois import (ONE, ZERO, SubfieldTables, factorize,
+                                 tower_for)
+from constacyclic.polyring import (Poly, divmod_codes, minimal_polynomial,
+                                   mul_codes, xn_minus_lambda)
 from constacyclic.qadic import cyclotomic_coset, index_universe
 
 TOWERS = [(3, 2, 2), (3, 3, 2), (3, 4, 2), (5, 2, 2), (5, 3, 4),
@@ -17,6 +17,51 @@ TOWERS = [(3, 2, 2), (3, 3, 2), (3, 4, 2), (5, 2, 2), (5, 3, 4),
 
 def T(q, m, r, preset=None):
     return tower_for(q, m, r, preset=preset)
+
+
+# ----------------------------------------------------------------------
+# references: the coset factorization, gcd and an irreducibility test
+# ----------------------------------------------------------------------
+
+def factor_xn_minus_lambda(tower):
+    """Gamma^(1) leader -> its minimal polynomial; the values multiply to
+    x^n - lambda."""
+    q, N = tower.q, tower.N
+    return {leader: minimal_polynomial(cyclotomic_coset(leader, q, N), tower)
+            for leader in index_universe(q, tower.r, N).gamma1}
+
+
+def poly_gcd(a, b):
+    """Monic greatest common divisor by the Euclidean algorithm."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def _frobenius_mod(b, f, times):
+    """b(x)^(q^times) mod f, by square-and-multiply."""
+    for _ in range(times):
+        result, base, e = Poly.one(f.tower), b, f.tower.q
+        while e:
+            if e & 1:
+                result = (result * base) % f
+            base = (base * base) % f
+            e >>= 1
+        b = result
+    return b
+
+
+def is_irreducible(f):
+    """Rabin's test over GF(q): x^(q^d) = x mod f, and x^(q^(d/p)) - x is
+    coprime to f for every prime p | d."""
+    d = f.degree
+    if d <= 0:
+        return False
+    x = Poly(f.tower, (ZERO, ONE)) % f
+    if _frobenius_mod(x, f, d) != x:
+        return False
+    return all(poly_gcd(f, _frobenius_mod(x, f, d // p) - x).degree == 0
+               for p in factorize(d))
 
 
 def test_mul_example():
@@ -134,8 +179,8 @@ def test_gcd():
     t = T(3, 3, 2)
     a = Poly.from_codes(t, (1, 1))
     b = Poly.from_codes(t, (2, 1))
-    assert (a * b).gcd(a * a) == a.monic()
-    assert a.gcd(Poly.zero(t)) == a.monic()
+    assert poly_gcd(a * b, a * a) == a.monic()
+    assert poly_gcd(a, Poly.zero(t)) == a.monic()
 
 
 def test_tower_mismatch():
@@ -150,7 +195,6 @@ def test_pretty_and_json():
     f = minimal_polynomial(cyclotomic_coset(1, 5, 124), t)
     assert f.pretty() == "x^3 + 3x + 3"
     assert f.to_json() == {"field": 5, "coeffs": [3, 3, 0, 1]}
-    assert poly_from_json(t, f.to_json()) == f
     assert Poly.zero(t).pretty() == "0"
     assert Poly.from_codes(t, (1,)).pretty() == "1"
 
