@@ -6,9 +6,7 @@ from .distance import (DistanceResult, WeightEnumerator, certify,
                        certify_pair, exhaustive_enumerator, low_weight_search,
                        macwilliams_transform)
 from .families import (BchWitness, ClosedFormReport, FamilyParams, bch_search,
-                       closed_form_bounds, cprm_defining_set, family_code,
-                       family_defining_set, parity_defining_set,
-                       qweight_defining_set, subcode_defining_set)
+                       closed_form_bounds, family_code, family_defining_set)
 from .galois import (ONE, ZERO, ExtensionTower, FieldSpec, build_tower,
                      tower_for)
 from .polyring import Poly, minimal_polynomial, reciprocal, xn_minus_lambda

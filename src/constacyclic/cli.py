@@ -16,7 +16,6 @@ import io
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import distance, families, tables
@@ -29,28 +28,6 @@ EXIT_OK = 0
 EXIT_BAD_PARAMS = 2
 EXIT_BUDGET = 3
 EXIT_MISMATCH = 4
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Canonical form of one CLI invocation."""
-
-    command: str
-    q: int = None
-    m: int = None
-    r: int = None
-    residue: int = 1
-    family: str = None
-    ell: int = None
-    i: int = None
-    selectors: tuple = None
-    table_id: int = None
-    sample: int = None
-    preset: str = "auto"
-    modulus: tuple = None
-    budget: int = distance.DEFAULT_OP_BUDGET
-    format: str = "json"
-    out: str = None
 
 
 def _int_list(text):
@@ -128,32 +105,23 @@ def build_parser():
     return parser
 
 
-def parse_argv(argv):
-    ns = build_parser().parse_args(argv)
-    fields = {f: getattr(ns, f) for f in RunSpec.__dataclass_fields__
-              if hasattr(ns, f)}
-    return RunSpec(**fields)
-
-
 # ----------------------------------------------------------------------
 # command bodies; each returns (exit_code, payload)
 # ----------------------------------------------------------------------
 
-def _family_params(rs):
-    return families.FamilyParams(family=rs.family, q=rs.q, m=rs.m,
-                                 ell=rs.ell, i=rs.i, selectors=rs.selectors)
+def _family_params(ns):
+    return families.FamilyParams(family=ns.family, q=ns.q, m=ns.m,
+                                 ell=ns.ell, i=ns.i, selectors=ns.selectors)
 
 
-def _tower(rs, params=None):
-    q = rs.q if params is None else params.q
-    m = rs.m if params is None else params.m
-    r = rs.r if params is None else params.r
-    preset = rs.preset if rs.preset != "auto" else None
-    return tower_for(q, m, r, modulus=rs.modulus, preset=preset)
+def _tower_options(ns):
+    """The tower keywords of --modulus and --preset (auto: no preset)."""
+    return {"modulus": ns.modulus,
+            "preset": None if ns.preset == "auto" else ns.preset}
 
 
-def cmd_field(rs):
-    tower = _tower(rs)
+def cmd_field(ns):
+    tower = tower_for(ns.q, ns.m, ns.r, **_tower_options(ns))
     return EXIT_OK, {
         "tower": tower.descriptor(),
         "N": tower.N,
@@ -163,24 +131,23 @@ def cmd_field(rs):
     }
 
 
-def cmd_cosets(rs):
-    prime_power(rs.q)
-    N = rs.q ** rs.m - 1
-    if (rs.q - 1) % rs.r:
-        raise BadParams(f"r = {rs.r} must divide q - 1")
-    uni = index_universe(rs.q, rs.r, N, rs.residue)
+def cmd_cosets(ns):
+    prime_power(ns.q)
+    N = ns.q ** ns.m - 1
+    if (ns.q - 1) % ns.r:
+        raise BadParams(f"r = {ns.r} must divide q - 1")
+    uni = index_universe(ns.q, ns.r, N, ns.residue)
     return EXIT_OK, {
-        "q": rs.q, "m": rs.m, "r": rs.r, "residue": uni.residue,
+        "q": ns.q, "m": ns.m, "r": ns.r, "residue": uni.residue,
         "N": N, "n": uni.n,
         "gamma1": list(uni.gamma1),
         "cosets": {str(l): list(uni.coset(l)) for l in uni.gamma1},
     }
 
 
-def cmd_construct(rs):
-    params = _family_params(rs)
-    code = families.family_code(params, modulus=rs.modulus,
-                                preset=rs.preset if rs.preset != "auto" else None)
+def cmd_construct(ns):
+    params = _family_params(ns)
+    code = families.family_code(params, **_tower_options(ns))
     report = families.closed_form_bounds(params)
     return EXIT_OK, {
         "descriptor": code.descriptor(family_tag=params.family),
@@ -192,12 +159,11 @@ def cmd_construct(rs):
     }
 
 
-def cmd_certify(rs):
-    params = _family_params(rs)
-    code = families.family_code(params, modulus=rs.modulus,
-                                preset=rs.preset if rs.preset != "auto" else None)
+def cmd_certify(ns):
+    params = _family_params(ns)
+    code = families.family_code(params, **_tower_options(ns))
     hints = families.closed_form_bounds(params)
-    result = distance.certify(code, hints=hints, op_budget=rs.budget)
+    result = distance.certify(code, hints=hints, op_budget=ns.budget)
     payload = {
         "code": {"n": code.n, "k": code.k, "family": params.to_json()},
         "result": result.to_json(),
@@ -205,11 +171,11 @@ def cmd_certify(rs):
     return (EXIT_OK if result.exact else EXIT_BUDGET), payload
 
 
-def cmd_table(rs):
+def cmd_table(ns):
     rows_out = []
     mismatch = False
-    for row in tables.table_rows(rs.table_id):
-        if rs.table_id == 1:
+    for row in tables.table_rows(ns.table_id):
+        if ns.table_id == 1:
             q, m, prm, label, dprm, dlabel = row
             params = families.FamilyParams(family="parity", q=q, m=m, i=1)
         else:
@@ -219,7 +185,7 @@ def cmd_table(rs):
         code = families.family_code(params)
         hints = families.closed_form_bounds(params)
         res, dres = distance.certify_pair(code, hints, hints.dual_view(),
-                                          op_budget=rs.budget)
+                                          op_budget=ns.budget)
         row_report = {
             "q": q, "m": m,
             "family": params.to_json(),
@@ -232,7 +198,7 @@ def cmd_table(rs):
         }
         ok = code.n == prm[0] and code.k == prm[1] \
             and (code.n - code.k) == dprm[1]
-        if rs.table_id == 2:
+        if ns.table_id == 2:
             # paired ell values on the same row share the dimensions
             for ell in ells:
                 alt = families.FamilyParams(family="qweight", q=q, m=m, ell=ell)
@@ -245,23 +211,23 @@ def cmd_table(rs):
         row_report["matches_published"] = ok
         mismatch = mismatch or not ok
         rows_out.append(row_report)
-    payload = {"table": rs.table_id, "rows": rows_out}
+    payload = {"table": ns.table_id, "rows": rows_out}
     return (EXIT_MISMATCH if mismatch else EXIT_OK), payload
 
 
-def cmd_selfdual_scan(rs):
-    m = rs.m
+def cmd_selfdual_scan(ns):
+    m = ns.m
     if m < 4 or m % 2:
         raise BadParams("selfdual-scan needs even m >= 4")
     vectors = list(itertools.product(*[(idx, m - 1 - idx)
                                        for idx in range(m // 2)]))
-    if rs.sample is not None:
-        vectors = vectors[:rs.sample]
-    preset = rs.preset if rs.preset != "auto" else None
-    tower = tower_for(3, m, 2, modulus=rs.modulus, preset=preset)
+    if ns.sample is not None:
+        vectors = vectors[:ns.sample]
+    tower = tower_for(3, m, 2, **_tower_options(ns))
     out = []
     for sel in vectors:
-        dset = families.subcode_defining_set("s4", 3, m, selectors=sel)
+        dset = families.family_defining_set(
+            families.FamilyParams(family="s4", q=3, m=m, selectors=sel))
         code = ConstacyclicCode(tower, dset)
         out.append({
             "selectors": list(sel),
@@ -328,15 +294,15 @@ def _emit_text(payload):
     return "\n".join(lines) + "\n"
 
 
-def emit(rs, payload):
-    if rs.format == "json":
+def emit(ns, payload):
+    if ns.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif rs.format == "csv":
+    elif ns.format == "csv":
         text = _emit_csv(payload)
     else:
         text = _emit_text(payload)
-    if rs.out:
-        with open(rs.out, "w") as fh:
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -354,15 +320,15 @@ _COMMANDS = {
 
 def main(argv=None):
     try:
-        rs = parse_argv(argv if argv is not None else sys.argv[1:])
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's own exit (bad flags, --help)
         return int(exc.code or 0)
     try:
-        exit_code, payload = _COMMANDS[rs.command](rs)
+        exit_code, payload = _COMMANDS[ns.command](ns)
     except (BadParams, NotPrimitive) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_PARAMS
-    emit(rs, payload)
+    emit(ns, payload)
     return exit_code
 
 

@@ -47,11 +47,6 @@ class DefiningSet:
         return defining_set(self.universe,
                             leaders=sorted(set(self.leaders) | set(other.leaders)))
 
-    def intersection(self, other):
-        self._check_same(other)
-        return defining_set(self.universe,
-                            leaders=sorted(set(self.leaders) & set(other.leaders)))
-
     def complement(self):
         """Omega \\ members, still coset-closed."""
         mine = set(self.leaders)
@@ -175,11 +170,6 @@ class ConstacyclicCode:
         self._check_compatible(other)
         return ConstacyclicCode(self.tower,
                                 self.defining_set.union(other.defining_set))
-
-    def sum(self, other):
-        self._check_compatible(other)
-        return ConstacyclicCode(self.tower,
-                                self.defining_set.intersection(other.defining_set))
 
     def is_subcode(self, other):
         """self <= other iff Z(other) <= Z(self)."""

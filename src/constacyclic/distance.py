@@ -12,8 +12,8 @@ Engines, each given an operation cap and returning what it spent:
   and the Method of Four Russians over larger finite fields", 2009), taken
   over the rows in cache-sized chunks.  Only messages whose first nonzero
   symbol is 1 are counted, and counts are scaled by q-1;
-* bounded-weight support search: every vector of weight <= w_max is tested
-  by syndrome, so an empty scan is a proof that d > w_max;
+* support search at one weight w: every vector of weight w is tested by
+  syndrome, so an empty scan proves that no codeword has weight w;
 * the prefix probe, which enumerates the span of the first generator rows to
   find an explicit codeword (an upper bound).
 
@@ -53,6 +53,7 @@ from .families import bch_search
 DEFAULT_OP_BUDGET = 200_000_000_000  # q^k * n elementary operations
 _BLOCK_BYTES = 64 << 20
 _CHUNK_ROWS = 1 << 14   # rows per kernel step, sized for the cache
+_SCAN_CHUNK = 4096      # supports per syndrome batch
 
 
 @dataclass(frozen=True)
@@ -341,48 +342,43 @@ def _syndrome_hit(Hc, patterns, tables):
     return None
 
 
-def low_weight_search(code, w_max, w_min=1, op_budget=DEFAULT_OP_BUDGET,
-                      chunk=4096):
-    """Test every vector of weight in [w_min, w_max] for membership.
+def low_weight_search(code, w, op_budget=DEFAULT_OP_BUDGET):
+    """Test every vector of weight w for membership.
 
-    Returns (w, witness, ops) at the first (hence minimum) weight with a hit,
-    or (None, None, ops) after an exhaustive empty scan, which proves
-    d > w_max; ops counts the supports tested, never more than the
-    predicted cost checked against the budget.
+    Returns (witness, ops): the first codeword of weight w found, or None
+    after an exhaustive empty scan, which proves no codeword has weight w;
+    ops counts the supports tested, never more than the predicted cost
+    checked against the budget.
     """
     n, q = code.n, code.tower.q
     H = code.parity_check_matrix()
     rows = H.shape[0]
     if rows == 0:
-        w = max(w_min, 1)
-        return w, (1,) * w + (0,) * (n - w), 0
-    total = sum(_low_weight_cost(n, w, q, rows)
-                for w in range(max(w_min, 1), w_max + 1))
-    if total > op_budget:
+        return (1,) * w + (0,) * (n - w), 0
+    cost = _low_weight_cost(n, w, q, rows)
+    if cost > op_budget:
         raise BudgetExceeded(
-            f"low-weight scan needs ~{total} ops > budget {op_budget}")
+            f"low-weight scan needs ~{cost} ops > budget {op_budget}")
     tables = code.tower.subfield_tables()
+    patterns = _scalar_patterns(q, w)
+    combos = itertools.combinations(range(n), w)
     spent = 0
-    for w in range(max(w_min, 1), w_max + 1):
-        patterns = _scalar_patterns(q, w)
-        combos = itertools.combinations(range(n), w)
-        while True:
-            batch = np.array(list(itertools.islice(combos, chunk)),
-                             dtype=np.int64)
-            if batch.size == 0:
-                break
-            spent += len(batch) * len(patterns) * w * rows
-            hit = _syndrome_hit(H[:, batch], patterns, tables)
-            if hit is not None:
-                pi, ci = hit
-                word = [0] * n
-                for pos, val in zip(batch[ci], patterns[pi]):
-                    word[int(pos)] = int(val)
-                word = tuple(word)
-                if not code.contains(word):
-                    raise ArithmeticError("support scan hit is not a codeword")
-                return w, word, spent
-    return None, None, spent
+    while True:
+        batch = np.array(list(itertools.islice(combos, _SCAN_CHUNK)),
+                         dtype=np.int64)
+        if batch.size == 0:
+            return None, spent
+        spent += len(batch) * len(patterns) * w * rows
+        hit = _syndrome_hit(H[:, batch], patterns, tables)
+        if hit is not None:
+            pi, ci = hit
+            word = [0] * n
+            for pos, val in zip(batch[ci], patterns[pi]):
+                word[int(pos)] = int(val)
+            word = tuple(word)
+            if not code.contains(word):
+                raise ArithmeticError("support scan hit is not a codeword")
+            return word, spent
 
 
 def prefix_subcode_probe(code, op_budget, stop_at=None):
@@ -463,21 +459,33 @@ class _Settled:
         return ("enumeration", self.ops, note)
 
 
-def _enumerate(code, lower, op_budget):
-    """Settle d on the cheaper side: the code itself, stopping at the first
-    word of weight <= lower, or its dual followed by MacWilliams."""
+def _settle(code, op_budget, stop_at=None, dual=None):
+    """Settle d on the cheaper side: enumerate the generator matrix when
+    k <= n - k, else the parity-check matrix (the dual's generator matrix),
+    and take the other side's d from the MacWilliams transform.
+
+    Returns (the code's _Settled, the dual's or None).  The dual's, asked
+    for by passing the dual code, costs 0 ops: the code's certificate pays
+    for the one enumeration.  Without a dual, the code's own enumeration
+    stops at the first word of weight <= stop_at.
+    """
     n, k, q = code.n, code.k, code.tower.q
-    tables = code.tower.subfield_tables()
-    if k <= n - k:
-        _, best_w, best_msg, completed, ops = _weight_distribution(
-            code.generator_matrix(), tables, op_budget=op_budget,
-            stop_at=lower)
-        return _Settled(best_w, code.encode(best_msg), ops,
+    own = k <= n - k
+    counts, best_w, best_msg, completed, ops = _weight_distribution(
+        code.generator_matrix() if own else code.parity_check_matrix(),
+        code.tower.subfield_tables(), op_budget=op_budget,
+        stop_at=stop_at if own and dual is None else None)
+    if own:
+        mine = _Settled(best_w, code.encode(best_msg), ops,
                         early=not completed)
-    counts, _, _, _, ops = _weight_distribution(
-        code.parity_check_matrix(), tables, op_budget=op_budget)
-    return _Settled(_min_weight(macwilliams_transform(counts, n, q)), None,
-                    ops)
+        theirs = None if dual is None else _Settled(
+            _min_weight(macwilliams_transform(counts, n, q)), None, 0)
+    else:
+        mine = _Settled(_min_weight(macwilliams_transform(counts, n, q)),
+                        None, ops)
+        theirs = None if dual is None else _Settled(
+            best_w, dual.encode(best_msg), 0)
+    return mine, theirs
 
 
 class _Ledger:
@@ -523,10 +531,9 @@ def _plan(code, hints, op_budget, settled=None):
 
     def scan(w):
         # support scan at weight w: a codeword of weight w, or None
-        got, word, ops = low_weight_search(code, w_max=w, w_min=w,
-                                           op_budget=led.remaining)
+        word, ops = low_weight_search(code, w, op_budget=led.remaining)
         led.debit("support-scan", ops, f"witness of weight {w}"
-                  if got is not None else f"no codeword of weight {w}")
+                  if word is not None else f"no codeword of weight {w}")
         return word
 
     def scan_cost(w):
@@ -544,7 +551,7 @@ def _plan(code, hints, op_budget, settled=None):
 
     # 2. a weight distribution certifies d; then find a weight-d witness
     if settled is None and q ** min(k, n - k) * n <= led.remaining:
-        settled = _enumerate(code, lower, led.remaining)
+        settled, _ = _settle(code, led.remaining, stop_at=lower)
         led.debit(*settled.entry())
     if settled is not None:
         d = settled.d
@@ -604,16 +611,7 @@ def certify_pair(code, hints=None, dual_hints=None,
     n, k, q = code.n, code.k, code.tower.q
     settled = (None, None)
     if 0 < k < n and q ** min(k, n - k) * n <= op_budget:
-        small = code if k <= n - k else dual
-        counts, best_w, best_msg, _, ops = _weight_distribution(
-            small.generator_matrix(), code.tower.subfield_tables(),
-            op_budget=op_budget)
-        direct = (best_w, small.encode(best_msg))
-        via_dual = (_min_weight(macwilliams_transform(counts, n, q)), None)
-        first, second = (direct, via_dual) if small is code \
-            else (via_dual, direct)
-        # one enumeration, paid for by the code's certificate
-        settled = (_Settled(*first, ops), _Settled(*second, 0))
+        settled = _settle(code, op_budget, dual=dual)
     res = _plan(code, hints, op_budget, settled[0])
     spent = sum(ops for _, ops, _ in res.method_trace)
     dres = _plan(dual, dual_hints, op_budget - spent, settled[1])

@@ -5,10 +5,13 @@ digit weight (negacyclic, r = 2), and the q-weight classes T_(q,m,l) =
 {i : wt_q(i) = 1 + (q-1)l} (r = q-1), together with the projective
 Reed-Muller unions D_(q,m,l) and four subcode families S1..S4.
 
-For every family this module knows the closed-form dimension and, where a
-progression argument applies, a distance lower bound together with the
-explicit arithmetic progression witnessing it.  Witnesses are validated
-member-by-member against the enumerated defining sets, never trusted.
+FamilyParams validates an instance once; family_defining_set then builds
+its defining set, a parity class or a union of q-weight classes (plus one or
+two cosets for S1 and S2).  For every family this module knows the
+closed-form dimension and, where a progression argument applies, a distance
+lower bound together with the explicit arithmetic progression witnessing it.
+Witnesses are validated member-by-member against the enumerated defining
+sets, never trusted.
 
 bch_search sweeps progressions directly and is independent of the closed
 forms, so the two sides cross-check each other.
@@ -133,27 +136,11 @@ def _qweight_members(q, m, ell):
     return frozenset(i for i in range(1, N) if qweight(i, q) == target)
 
 
-def parity_defining_set(q, m, i):
-    """T_(i,n): the odd residues whose digit vector has weight = i mod 2."""
-    if q % 2 == 0:
-        raise BadParams("parity split needs odd q")
-    if i not in (0, 1):
-        raise BadParams("i must be 0 or 1")
-    return defining_set(_universe(q, m, 2), members=_parity_members(q, m, i))
-
-
 def parity_family_size(q, m, i):
     """Closed form: |T_(1,n)| = (q^m - (2-q)^m)/4, |T_(0,n)| its complement."""
     if i == 1:
         return (q ** m - (2 - q) ** m) // 4
     return (q ** m + (2 - q) ** m - 2) // 4
-
-
-def qweight_defining_set(q, m, ell):
-    """T_(q,m,ell) = {i : wt_q(i) = 1 + (q-1) ell}, a coset-closed subset."""
-    if not 0 <= ell <= m - 1:
-        raise BadParams("need 0 <= ell <= m-1")
-    return defining_set(_universe(q, m, q - 1), members=_qweight_members(q, m, ell))
 
 
 def _comb0(a, b):
@@ -169,54 +156,32 @@ def qweight_family_size(q, m, ell):
                for h in range(m + 1))
 
 
-def cprm_defining_set(q, m, ell):
-    """D_(q,m,ell): union of the q-weight classes 0..ell (projective RM order
-    m-2-ell)."""
-    if not 0 <= ell <= m - 2:
-        raise BadParams("need 0 <= ell <= m-2")
-    members = set()
-    for i in range(ell + 1):
-        members |= _qweight_members(q, m, i)
-    return defining_set(_universe(q, m, q - 1), members=members)
-
-
-def subcode_defining_set(kind, q, m, ell=None, selectors=None):
-    """Defining sets of the subcode families S1, S2, S3(ell), S4(selectors)."""
-    N = q ** m - 1
-    uni = _universe(q, m, q - 1)
-    if kind == "s1":
-        FamilyParams(family="s1", q=q, m=m)
-        members = set(_qweight_members(q, m, (m - 1) // 2))
-        members |= set(cyclotomic_coset(1, q, N).members)
-    elif kind == "s2":
-        FamilyParams(family="s2", q=q, m=m)
-        members = set(_qweight_members(q, m, (m - 1) // 2))
-        members |= set(cyclotomic_coset(1, q, N).members)
-        members |= set(cyclotomic_coset(2 * q ** (m - 1) - 1, q, N).members)
-    elif kind == "s3":
-        FamilyParams(family="s3", q=q, m=m, ell=ell)
-        members = set(_qweight_members(q, m, ell))
-        members |= _qweight_members(q, m, m - 1 - ell)
-    elif kind == "s4":
-        FamilyParams(family="s4", q=q, m=m, selectors=tuple(selectors))
-        members = set()
-        for j in selectors:
-            members |= _qweight_members(q, m, j)
-    else:
-        raise BadParams(f"unknown subcode kind {kind!r}")
-    return defining_set(uni, members=members)
-
-
 def family_defining_set(params):
-    p = params
+    """The defining set of a validated instance: the parity class T_(i,n),
+    or a union of q-weight classes T_(q,m,ell), plus for S1 the coset of 1
+    and for S2 also that of 2q^(m-1) - 1."""
+    p, q, m = params, params.q, params.m
     if p.family == "parity":
-        return parity_defining_set(p.q, p.m, p.i)
+        return defining_set(_universe(q, m, 2),
+                            members=_parity_members(q, m, p.i))
     if p.family == "qweight":
-        return qweight_defining_set(p.q, p.m, p.ell)
-    if p.family == "cprm":
-        return cprm_defining_set(p.q, p.m, p.ell)
-    return subcode_defining_set(p.family, p.q, p.m, ell=p.ell,
-                                selectors=p.selectors)
+        classes = (p.ell,)
+    elif p.family == "cprm":
+        classes = range(p.ell + 1)
+    elif p.family == "s3":
+        classes = (p.ell, m - 1 - p.ell)
+    elif p.family == "s4":
+        classes = p.selectors
+    else:  # s1, s2
+        classes = ((m - 1) // 2,)
+    members = set()
+    for ell in classes:
+        members |= _qweight_members(q, m, ell)
+    if p.family in ("s1", "s2"):
+        members.update(cyclotomic_coset(1, q, p.N).members)
+    if p.family == "s2":
+        members.update(cyclotomic_coset(2 * q ** (m - 1) - 1, q, p.N).members)
+    return defining_set(_universe(q, m, q - 1), members=members)
 
 
 def family_code(params, modulus=None, preset=None):
@@ -519,7 +484,7 @@ def closed_form_bounds(params):
         raise ArithmeticError(
             f"closed-form dimension {dim} != enumerated {n - len(dset)}")
     members = dset.members
-    comp = frozenset(dset.universe.omega1) - members
+    comp = dset.complement().members
     notes = []
     d_lb = w = dd_lb = dw = expected = wmod = None
     # self-dual ternary instances are self-orthogonal: all weights = 0 mod 3
@@ -643,32 +608,26 @@ def default_step_candidates(q, r, N):
     return sorted(cands)
 
 
-def bch_search(dset, a_candidates=None, delta_cap=None, complement=False):
-    """Best progression inside the defining set (or its complement).
+def bch_search(dset):
+    """Best progression inside the defining set.
 
-    Exhaustive over starting points for every candidate step: for a fixed
-    step a the walk b, b+a, b+2a, ... visits the whole residue class with
-    period n, so one circular sweep finds the longest run.  Ties prefer the
-    smallest step, then the smallest starting point.
+    Exhaustive over starting points for every step of
+    default_step_candidates: for a fixed step a the walk b, b+a, b+2a, ...
+    visits the whole residue class with period n, so one circular sweep
+    finds the longest run.  The sweep ends at the first step whose run
+    covers the class (delta = n).  Ties prefer the smallest step, then the
+    smallest starting point.  For the dual's bound, search the complement.
     """
     uni = dset.universe
     N, r, n, residue = uni.N, uni.r, uni.n, uni.residue
-    if delta_cap is None:
-        delta_cap = n
-    members = (frozenset(uni.omega1) - dset.members) if complement else dset.members
-    if not members:
+    if not dset.members:
         raise NoProgression("empty target set")
     flags_by_elem = np.zeros(n, dtype=bool)
-    for x in members:
+    for x in dset.members:
         flags_by_elem[(x - residue) // r] = True
-    if a_candidates is None:
-        a_candidates = default_step_candidates(uni.q, r, N)
     idx = np.arange(n, dtype=np.int64)
     best = None  # (delta, a, b)
-    for a in a_candidates:
-        a %= N
-        if a == 0 or math.gcd(a, N) != r:
-            raise BadParams(f"candidate step {a} has gcd(a, N) != r")
+    for a in default_step_candidates(uni.q, r, N):
         walk = (residue + a * idx) % N
         flags = flags_by_elem[(walk - residue) // r]
         if flags.all():
@@ -685,7 +644,7 @@ def bch_search(dset, a_candidates=None, delta_cap=None, complement=False):
             delta, b = min(longest + 1, n), int(walk[starts % n].min())
         if best is None or delta > best[0]:
             best = (delta, a, b)
-            if delta >= delta_cap:
+            if delta >= n:
                 break
     if best is None:
         raise NoProgression("no progression of length >= 1 found")

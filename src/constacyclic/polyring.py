@@ -176,7 +176,7 @@ class Poly:
         e = a * pow(b, -1, t.q - 1) % (t.q - 1)
         return "w" if e == 1 else f"w^{e}"
 
-    def pretty(self, var="x"):
+    def pretty(self):
         """Descending-power display form, matching the report conventions."""
         if self.is_zero():
             return "0"
@@ -190,7 +190,7 @@ class Poly:
             if e == 0:
                 terms.append(cs)
                 continue
-            xs = var if e == 1 else f"{var}^{e}"
+            xs = "x" if e == 1 else f"x^{e}"
             if cs == "1":
                 terms.append(xs)
             elif prime:

@@ -115,6 +115,9 @@ def index_universe(q, r, N, residue=1):
 
 @lru_cache(maxsize=128)
 def _index_universe(q, r, N, residue):
+    """Walk the indices in ascending order: the first unvisited one is the
+    least of its orbit, its leader, and one cyclotomic_coset call from it
+    gives the orbit in orbit order.  Leaders come out ascending."""
     n = N // r
     gamma1 = []
     cosets = {}
@@ -123,26 +126,15 @@ def _index_universe(q, r, N, residue):
     for i in range(N):
         if seen[i]:
             continue
-        members = [i]
-        seen[i] = 1
-        x = (i * q) % N
-        while x != i:
-            members.append(x)
+        members = cyclotomic_coset(i, q, N).members
+        for x in members:
             seen[x] = 1
-            x = (x * q) % N
-        leader = min(members)
-        if leader % r == residue:
-            # re-walk from the leader so members come in orbit order
-            ordered = [leader]
-            x = (leader * q) % N
-            while x != leader:
-                ordered.append(x)
-                x = (x * q) % N
-            cosets[leader] = tuple(ordered)
-            gamma1.append(leader)
-            for x in ordered:
-                leader_arr[(x - residue) // r] = leader
+        if i % r == residue:
+            cosets[i] = members
+            gamma1.append(i)
+            for x in members:
+                leader_arr[(x - residue) // r] = i
     omega1 = tuple((residue + r * i) % N for i in range(n))
     return IndexUniverse(q=q, r=r, N=N, residue=residue, n=n,
-                         gamma1=tuple(sorted(gamma1)), omega1=omega1,
+                         gamma1=tuple(gamma1), omega1=omega1,
                          cosets=cosets, leader_arr=leader_arr)

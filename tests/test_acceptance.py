@@ -22,8 +22,8 @@ from constacyclic.polyring import Poly, xn_minus_lambda
 from constacyclic.qadic import index_universe, qweight
 
 from conftest import extended
-from test_families import (middle_progression_qweight, qweight_distance_bound,
-                           qweight_dual_distance_bound)
+from test_families import (family_set, middle_progression_qweight,
+                           qweight_distance_bound, qweight_dual_distance_bound)
 from test_polyring import factor_xn_minus_lambda
 
 
@@ -175,7 +175,7 @@ def test_criterion_5_worked_examples_byte_exact():
                       preset="paper").g
     assert g.pretty() == "x^8 + 2x^7 + x^5 + x^3 + 2x + 1"
 
-    listing = sorted(F.subcode_defining_set("s4", 3, 4, selectors=(0, 2)).members)
+    listing = sorted(family_set("s4", 3, 4, selectors=(0, 2)).members)
     assert listing == [1, 3, 9, 17, 23, 25, 27, 35, 41, 43, 47, 49, 51, 59,
                        61, 65, 67, 69, 73, 75]
     _report(5, True, "generator strings and the selector listing match")
@@ -198,11 +198,11 @@ def test_criterion_6_witness_suite():
     for q, m in grid:
         # dimensions, parity split
         for i in (0, 1):
-            T = F.parity_defining_set(q, m, i)
+            T = family_set("parity", q, m, i=i)
             if F.parity_family_size(q, m, i) != len(T):
                 problems.append(f"parity size {q},{m},{i}")
-        t1 = F.parity_defining_set(q, m, 1).members
-        t0m = F.parity_defining_set(q, m, 0).members
+        t1 = family_set("parity", q, m, i=1).members
+        t0m = family_set("parity", q, m, i=0).members
 
         # progression sets behind the parity bounds
         if m >= 3 and m % 2:
@@ -223,7 +223,7 @@ def test_criterion_6_witness_suite():
         # q-weight classes: sizes, their progressions, the complement one
         uni = index_universe(q, q - 1, q ** m - 1)
         for ell in range(m):
-            T = F.qweight_defining_set(q, m, ell)
+            T = family_set("qweight", q, m, ell=ell)
             if F.qweight_family_size(q, m, ell) != len(T):
                 problems.append(f"qweight size {q},{m},{ell}")
             for w in F.qweight_progressions(q, m, ell):
@@ -237,8 +237,8 @@ def test_criterion_6_witness_suite():
 
         # subcode witnesses and the digit-value formula behind them
         if m >= 5 and m % 2:
-            Z1 = F.subcode_defining_set("s1", q, m).members
-            Z2 = F.subcode_defining_set("s2", q, m).members
+            Z1 = family_set("s1", q, m).members
+            Z2 = family_set("s2", q, m).members
             comp1 = set(uni.omega1) - Z1
             comp2 = set(uni.omega1) - Z2
             p1, d1 = F.s1_witnesses(q, m)

@@ -77,35 +77,44 @@ def test_enumerator_budget_refusal():
         exhaustive_enumerator(parity_code(3, 4), op_budget=10 ** 6)
 
 
+def lightest_word(code, w_max):
+    """(w, word) at the least weight up to w_max holding a codeword, one
+    support scan per weight, or (None, None)."""
+    for w in range(1, w_max + 1):
+        word, _ = low_weight_search(code, w)
+        if word is not None:
+            return w, word
+    return None, None
+
+
 def test_cross_method_agreement():
     # exhaustive minimum equals the support-scan minimum
     for code in [parity_code(3, 3), parity_code(5, 2), qweight_code(4, 2, 0)]:
         d = exhaustive_enumerator(code).min_distance()
-        found, word, _ = low_weight_search(code, w_max=d)
+        found, word = lightest_word(code, d)
         assert found == d
         assert sum(1 for x in word if x) == d
         assert code.contains(word)
-        none_found, _, _ = low_weight_search(code, w_max=d - 1)
-        assert none_found is None
+        assert lightest_word(code, d - 1) == (None, None)
 
 
 def test_low_weight_search_examples():
     s3 = F.family_code(F.FamilyParams(family="s3", q=3, m=4, ell=0),
                        preset="paper")
-    assert low_weight_search(s3, w_max=4)[:2] == (None, None)  # d >= 5
-    w, word, _ = low_weight_search(s3, w_max=5, w_min=5)
-    assert w == 5 and s3.contains(word)
+    assert lightest_word(s3, 4) == (None, None)  # d >= 5
+    word, _ = low_weight_search(s3, 5)
+    assert sum(1 for x in word if x) == 5 and s3.contains(word)
 
     c = parity_code(3, 3)
-    w, word, _ = low_weight_search(c, w_max=6)
+    w, word = lightest_word(c, 6)
     assert w == 6
 
-    assert low_weight_search(c, w_max=0)[:2] == (None, None)
+    assert lightest_word(c, 0) == (None, None)
 
 
 def test_low_weight_budget_refusal():
     with pytest.raises(BudgetExceeded):
-        low_weight_search(parity_code(3, 4), w_max=9, op_budget=10 ** 6)
+        low_weight_search(parity_code(3, 4), 9, op_budget=10 ** 6)
 
 
 def test_macwilliams_pairs():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,12 @@ from constacyclic.codes import defining_set
 from constacyclic.errors import BadParams, NoProgression
 from constacyclic.qadic import (cyclotomic_coset, qweight, index_universe,
                                 valuation)
+
+
+def family_set(family, q, m, **knobs):
+    """The defining set of a family instance that FamilyParams validates."""
+    return F.family_defining_set(F.FamilyParams(family=family, q=q, m=m,
+                                                **knobs))
 
 
 def parity_members_oracle(q, m, i):
@@ -75,8 +79,8 @@ def qweight_members_oracle(q, m, ell):
 
 def test_parity_set_matches_oracle_and_closed_form():
     for q, m in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (9, 2)]:
-        t0 = F.parity_defining_set(q, m, 0)
-        t1 = F.parity_defining_set(q, m, 1)
+        t0 = family_set("parity", q, m, i=0)
+        t1 = family_set("parity", q, m, i=1)
         assert t0.members == parity_members_oracle(q, m, 0)
         assert t1.members == parity_members_oracle(q, m, 1)
         assert len(t0) == F.parity_family_size(q, m, 0)
@@ -86,7 +90,7 @@ def test_parity_set_matches_oracle_and_closed_form():
         assert t0.members | t1.members == set(uni.omega1)
         assert not (t0.members & t1.members)
     with pytest.raises(BadParams):
-        F.parity_defining_set(4, 2, 1)
+        family_set("parity", 4, 2, i=1)
 
 
 def test_parity_size_examples():
@@ -102,20 +106,20 @@ def test_ternary_mirror():
     # i -> 3^m-1-i swaps T_(0,n) and T_(1,n) for even m, fixes each for odd m
     for m in (2, 3, 4, 5, 6):
         N = 3 ** m - 1
-        t0 = F.parity_defining_set(3, m, 0).members
-        t1 = F.parity_defining_set(3, m, 1).members
+        t0 = family_set("parity", 3, m, i=0).members
+        t1 = family_set("parity", 3, m, i=1).members
         assert {N - i for i in t0} == (t1 if m % 2 == 0 else t0)
 
 
 def test_qweight_sets_and_sizes():
-    assert sorted(F.qweight_defining_set(5, 3, 0).members) == [1, 5, 25]
-    assert sorted(F.qweight_defining_set(5, 3, 2).members) == \
+    assert sorted(family_set("qweight", 5, 3, ell=0).members) == [1, 5, 25]
+    assert sorted(family_set("qweight", 5, 3, ell=2).members) == \
         [49, 69, 73, 89, 93, 97, 109, 113, 117, 121]
     for q, m in [(3, 3), (3, 4), (3, 5), (4, 3), (5, 3), (7, 3), (9, 2)]:
         N = q ** m - 1
         seen = set()
         for ell in range(m):
-            T = F.qweight_defining_set(q, m, ell)
+            T = family_set("qweight", q, m, ell=ell)
             assert T.members == qweight_members_oracle(q, m, ell)
             assert len(T) == F.qweight_family_size(q, m, ell)
             seen |= T.members
@@ -131,34 +135,34 @@ def test_qweight_size_examples():
 
 def test_qweight_zero_class_is_power_coset():
     for q, m in [(3, 4), (5, 3), (7, 2)]:
-        T = F.qweight_defining_set(q, m, 0)
+        T = family_set("qweight", q, m, ell=0)
         assert T.members == set(cyclotomic_coset(1, q, q ** m - 1).members)
 
 
 def test_cprm_nesting():
     for ell in range(0, 2):
-        d_small = F.cprm_defining_set(3, 4, ell)
-        d_big = F.cprm_defining_set(3, 4, ell + 1)
+        d_small = family_set("cprm", 3, 4, ell=ell)
+        d_big = family_set("cprm", 3, 4, ell=ell + 1)
         assert d_small.members < d_big.members
 
 
 def test_subcode_sets():
     # S4 with the published selector pair
-    s4 = F.subcode_defining_set("s4", 3, 4, selectors=(0, 2))
+    s4 = family_set("s4", 3, 4, selectors=(0, 2))
     assert sorted(s4.members) == [1, 3, 9, 17, 23, 25, 27, 35, 41, 43, 47,
                                   49, 51, 59, 61, 65, 67, 69, 73, 75]
     # identity selectors reproduce the projective RM union
-    s4_id = F.subcode_defining_set("s4", 3, 4, selectors=(0, 1))
-    assert s4_id.members == F.cprm_defining_set(3, 4, 1).members
+    s4_id = family_set("s4", 3, 4, selectors=(0, 1))
+    assert s4_id.members == family_set("cprm", 3, 4, ell=1).members
     # S1, S2 disjoint unions have the right sizes
-    s1 = F.subcode_defining_set("s1", 3, 5)
+    s1 = family_set("s1", 3, 5)
     assert len(s1) == F.qweight_family_size(3, 5, 2) + 5
-    s2 = F.subcode_defining_set("s2", 3, 5)
+    s2 = family_set("s2", 3, 5)
     assert len(s2) == F.qweight_family_size(3, 5, 2) + 10
     with pytest.raises(BadParams):
-        F.subcode_defining_set("s4", 3, 4, selectors=(0, 3))
+        family_set("s4", 3, 4, selectors=(0, 3))
     with pytest.raises(BadParams):
-        F.subcode_defining_set("s1", 3, 4)
+        family_set("s1", 3, 4)
 
 
 def test_family_dimensions_match_enumeration():
@@ -203,8 +207,8 @@ def assert_valid(witness, members, q, m, r, residue=1):
 def test_parity_odd_m_witnesses():
     for q, m in [(3, 3), (3, 5), (3, 7), (5, 3), (5, 5), (7, 3), (9, 3)]:
         prim, dual = F.parity_odd_m_witnesses(q, m)
-        assert_valid(prim, F.parity_defining_set(q, m, 1).members, q, m, 2)
-        assert_valid(dual, F.parity_defining_set(q, m, 0).members, q, m, 2)
+        assert_valid(prim, family_set("parity", q, m, i=1).members, q, m, 2)
+        assert_valid(dual, family_set("parity", q, m, i=0).members, q, m, 2)
         eps = 0 if q == 3 else q - 2
         assert prim.delta == q ** ((m - 1) // 2) + 1 + eps
         assert dual.delta == (q - 1) * q ** ((m - 3) // 2) + 1
@@ -220,8 +224,8 @@ def test_parity_odd_m_small_example():
 def test_parity_even_m_witnesses():
     for q, m in [(5, 6), (9, 6)]:
         prim, dual = F.parity_even_m_witnesses(q, m)
-        assert_valid(prim, F.parity_defining_set(q, m, 1).members, q, m, 2)
-        assert_valid(dual, F.parity_defining_set(q, m, 0).members, q, m, 2)
+        assert_valid(prim, family_set("parity", q, m, i=1).members, q, m, 2)
+        assert_valid(dual, family_set("parity", q, m, i=0).members, q, m, 2)
         assert prim.delta == dual.delta == q ** ((m - 2) // 2) + q
     with pytest.raises(BadParams):
         F.parity_even_m_witnesses(3, 6)
@@ -232,7 +236,7 @@ def test_parity_even_m_witnesses():
 def test_parity_ternary_even_witness():
     for m in (4, 6, 8):
         w = F.parity_ternary_even_witness(m)
-        assert_valid(w, F.parity_defining_set(3, m, 1).members, 3, m, 2)
+        assert_valid(w, family_set("parity", 3, m, i=1).members, 3, m, 2)
         if m % 4 == 0:
             assert w.delta == (3 ** ((m - 2) // 2) + 15) // 2
         else:
@@ -244,7 +248,7 @@ def test_parity_ternary_even_witness():
                                  (3, 8), (5, 3), (5, 4), (5, 5), (4, 4)])
 def test_qweight_progressions_all_ell(q, m):
     for ell in range(m):
-        T = F.qweight_defining_set(q, m, ell).members
+        T = family_set("qweight", q, m, ell=ell).members
         wits = F.qweight_progressions(q, m, ell)
         assert wits, (q, m, ell)
         for w in wits:
@@ -257,7 +261,7 @@ def test_qweight_progressions_all_ell(q, m):
 def test_qweight_complement_progressions(q, m):
     uni = index_universe(q, q - 1, q ** m - 1)
     for ell in range(m):
-        T = F.qweight_defining_set(q, m, ell).members
+        T = family_set("qweight", q, m, ell=ell).members
         comp = set(uni.omega1) - T
         w = F.qweight_complement_progression(q, m, ell)
         assert_valid(w, comp, q, m, q - 1)
@@ -268,7 +272,7 @@ def test_s1_s2_witnesses():
     for q, m in [(3, 5), (3, 7), (5, 5)]:
         uni = index_universe(q, q - 1, q ** m - 1)
         for kind, ctor in (("s1", F.s1_witnesses), ("s2", F.s2_witnesses)):
-            Z = F.subcode_defining_set(kind, q, m).members
+            Z = family_set(kind, q, m).members
             prim, dual = ctor(q, m)
             assert_valid(prim, Z, q, m, q - 1)
             assert_valid(dual, set(uni.omega1) - Z, q, m, q - 1)
@@ -366,7 +370,7 @@ def test_reverse_identity_fails_for_larger_q():
 # ----------------------------------------------------------------------
 
 def test_bch_search_parity_13():
-    ds = F.parity_defining_set(3, 3, 1)
+    ds = family_set("parity", 3, 3, i=1)
     w = F.bch_search(ds)
     assert w.delta >= 4
     assert F.check_witness(w, ds.members, 26, 2, 13)
@@ -384,8 +388,8 @@ def test_bch_search_single_coset():
 
 
 def test_bch_search_complement_variant():
-    ds = F.qweight_defining_set(3, 3, 1)
-    w = F.bch_search(ds, complement=True)
+    ds = family_set("qweight", 3, 3, ell=1)
+    w = F.bch_search(ds.complement())
     uni = ds.universe
     comp = set(uni.omega1) - ds.members
     assert F.check_witness(w, comp, 26, 2, 13)
@@ -403,17 +407,9 @@ def test_bch_search_full_class():
         F.bch_search(defining_set(uni, leaders=()))
 
 
-def test_bch_search_respects_candidates():
-    ds = F.parity_defining_set(3, 3, 1)
-    w = F.bch_search(ds, a_candidates=[4])
-    assert w.a == 4 and w.delta == 4
-    with pytest.raises(BadParams):
-        F.bch_search(ds, a_candidates=[3])  # gcd(3, 26) != 2
-
-
 def test_bch_beats_or_meets_stated_bounds():
     for q, m, ell in [(3, 3, 0), (3, 3, 1), (3, 4, 1), (4, 3, 1), (5, 3, 1)]:
-        ds = F.qweight_defining_set(q, m, ell)
+        ds = family_set("qweight", q, m, ell=ell)
         w = F.bch_search(ds)
         assert w.delta >= qweight_distance_bound(q, m, ell)
 
@@ -430,28 +426,19 @@ def test_bch_search_on_dual_universe():
     assert w.delta >= 2
 
 
-def bch_search_reference(dset, a_candidates=None, delta_cap=None,
-                         complement=False):
+def bch_search_reference(dset):
     """The run scan as a Python list of (run, start) pairs per step: the
     reference for the vectorised scan in families.bch_search."""
     uni = dset.universe
     N, r, n, residue = uni.N, uni.r, uni.n, uni.residue
-    if delta_cap is None:
-        delta_cap = n
-    members = (frozenset(uni.omega1) - dset.members) if complement else dset.members
-    if not members:
+    if not dset.members:
         raise NoProgression("empty target set")
     flags_by_elem = np.zeros(n, dtype=bool)
-    for x in members:
+    for x in dset.members:
         flags_by_elem[(x - residue) // r] = True
-    if a_candidates is None:
-        a_candidates = F.default_step_candidates(uni.q, r, N)
     idx = np.arange(n, dtype=np.int64)
     best = None  # (delta, a, b)
-    for a in a_candidates:
-        a %= N
-        if a == 0 or math.gcd(a, N) != r:
-            raise BadParams(f"candidate step {a} has gcd(a, N) != r")
+    for a in F.default_step_candidates(uni.q, r, N):
         walk = (residue + a * idx) % N
         flags = flags_by_elem[(walk - residue) // r]
         if flags.all():
@@ -470,7 +457,7 @@ def bch_search_reference(dset, a_candidates=None, delta_cap=None,
             delta, b = min(longest + 1, n), min(bs)
         if best is None or delta > best[0]:
             best = (delta, a, b)
-            if delta >= delta_cap:
+            if delta >= n:
                 break
     if best is None:
         raise NoProgression("no progression of length >= 1 found")
@@ -484,9 +471,9 @@ BCH_UNIVERSES = [(3, 2, 26, 1), (3, 2, 80, 1), (3, 2, 242, 1), (3, 2, 728, 1),
                  (7, 6, 48, 5), (9, 8, 80, 1)]
 
 
-def _search_or_error(search, dset, **kw):
+def _search_or_error(search, dset):
     try:
-        w = search(dset, **kw)
+        w = search(dset)
     except NoProgression:
         return "NoProgression"
     return (w.delta, w.a, w.b)
@@ -505,14 +492,10 @@ def test_bch_search_matches_reference_scan(data):
     else:
         leaders = [data.draw(st.sampled_from(uni.gamma1))]
     ds = defining_set(uni, leaders=sorted(leaders))
-    kw = {"complement": data.draw(st.booleans()),
-          "delta_cap": data.draw(st.none() | st.integers(1, uni.n))}
     if data.draw(st.booleans()):
-        steps = [a for a in range(r, N, r) if math.gcd(a, N) == r]
-        kw["a_candidates"] = data.draw(
-            st.lists(st.sampled_from(steps), min_size=1, max_size=6))
-    assert (_search_or_error(F.bch_search, ds, **kw)
-            == _search_or_error(bch_search_reference, ds, **kw))
+        ds = ds.complement()
+    assert (_search_or_error(F.bch_search, ds)
+            == _search_or_error(bch_search_reference, ds))
 
 
 def test_weight_modulus_marks_self_dual_instances():
